@@ -13,21 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable
+from typing import Any
 
-from .axioms import (
-    Axiom,
-    AxiomReport,
-    check_choice_axiom,
-    check_full_support,
-    check_odds_independence,
-    check_positivity,
-    check_product_rule,
-    check_renyi_conditioning,
-    check_set_choice_axiom,
-    check_set_intersection_rule,
-    check_warp,
-)
+from .axioms import Axiom, _run_checkers, check_choice_axiom
 from .core import (
     EXACT,
     FLOAT,
@@ -35,7 +23,6 @@ from .core import (
     ChoiceFamily,
     RandomChoiceRule,
     Universe,
-    support_correspondence,
 )
 from .decompose import decompose as run_decompose
 from .documents import (
@@ -61,17 +48,8 @@ from .synthesize import (
     luce_rule,
 )
 
-_RULE_CHECKERS: dict[str, Callable[..., AxiomReport]] = {
-    Axiom.CHOICE_AXIOM.value: check_choice_axiom,
-    Axiom.ODDS_INDEPENDENCE.value: check_odds_independence,
-    Axiom.PRODUCT_RULE.value: check_product_rule,
-    Axiom.SET_CHOICE_AXIOM.value: check_set_choice_axiom,
-    Axiom.SET_INTERSECTION_RULE.value: check_set_intersection_rule,
-    Axiom.POSITIVITY.value: check_positivity,
-    Axiom.FULL_SUPPORT.value: check_full_support,
-    Axiom.RENYI_CONDITIONING.value: check_renyi_conditioning,
-}
-_ALL_AXIOMS = tuple(list(_RULE_CHECKERS) + [Axiom.WARP.value])
+# Default report order: every rule-level checker, then WARP of the support.
+_ALL_AXIOMS = tuple(a.value for a in Axiom if a != Axiom.WARP) + (Axiom.WARP.value,)
 
 
 def _emit(args: argparse.Namespace, obj: Any, *, kind: str | None = None) -> None:
@@ -138,17 +116,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     elif args.mode == EXACT and rule.mode == FLOAT:
         raise DocumentError("a float rule cannot be promoted to exact mode")
     names = list(_ALL_AXIOMS) if not args.axioms else args.axioms.split(",")
-    reports: list[AxiomReport] = []
+    axioms: list[Axiom] = []
     for name in names:
         name = name.strip()
-        if name == Axiom.WARP.value:
-            reports.append(check_warp(support_correspondence(rule)))
-        elif name in _RULE_CHECKERS:
-            reports.append(_RULE_CHECKERS[name](rule, eps=args.eps))
-        else:
+        if name not in _ALL_AXIOMS:
             raise DocumentError(
                 f"unknown axiom {name!r}; choose from {', '.join(_ALL_AXIOMS)}"
             )
+        axioms.append(Axiom(name))
+    reports = _run_checkers(rule, axioms, args.eps)
     all_hold = all(r.holds for r in reports)
     payload = {
         "type": "axioms",

@@ -181,6 +181,7 @@ def fit_alpha_mle(
     *,
     pseudo_count: float = 0.0,
     max_iter: int = MAX_ITER,
+    _warp_report: AxiomReport | None = None,
 ) -> FitResult:
     """Maximize the within-support logit likelihood by damped Newton steps.
 
@@ -190,11 +191,12 @@ def fit_alpha_mle(
     count must lie inside it. ``pseudo_count`` is added to every in-support
     cell before fitting (off by default so supports mean positive
     frequency). Alternatives outside every observed support are reported
-    with α̂ = 0 but are not identified by the data.
+    with α̂ = 0 but are not identified by the data. ``_warp_report``, when
+    given, is ``check_warp(gamma)`` already computed by the caller.
     """
     if gamma.family != data.family:
         raise ValueError("correspondence and dataset must cover the same sets")
-    warp_report = check_warp(gamma)
+    warp_report = check_warp(gamma) if _warp_report is None else _warp_report
     if not warp_report.holds:
         raise NotRationalError(
             "estimated support violates contraction consistency", report=warp_report
@@ -353,4 +355,4 @@ def fit(data: ChoiceDataset, *, pseudo_count: float = 0.0) -> FitResult:
             converged=False,
             warp_report=warp_report,
         )
-    return fit_alpha_mle(data, gamma, pseudo_count=pseudo_count)
+    return fit_alpha_mle(data, gamma, pseudo_count=pseudo_count, _warp_report=warp_report)

@@ -1,0 +1,232 @@
+"""The checkers against the full-scan reference checkers of ``oracle_axioms``.
+
+Each property builds a rule (exact or float, full or selective support,
+optionally with one row perturbed) on a complete family, a random partial
+family, or a pairs-plus-menus family on ~20 alternatives where the nested
+pair index scans the family instead of walking submasks, and asserts that
+every checker's encoded report is byte-identical to the reference's: same
+verdict, violation count, witnesses in the same order, and instance count.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lucekit import (
+    Axiom,
+    ChoiceCorrespondence,
+    ChoiceFamily,
+    ChoiceSet,
+    FamilySizeError,
+    check_all,
+    check_choice_axiom,
+    check_full_support,
+    check_odds_independence,
+    check_positivity,
+    check_product_rule,
+    check_renyi_conditioning,
+    check_set_choice_axiom,
+    check_set_intersection_rule,
+    check_warp,
+    correspondence_from_order,
+    dumps_document,
+    general_luce_rule,
+    luce_rule,
+    support_correspondence,
+    write_document,
+)
+from lucekit.cli import main
+from lucekit.documents import encode_axiom_report
+
+import helpers
+import oracle_axioms as oracle
+
+RULE_CHECKERS = {
+    Axiom.CHOICE_AXIOM: (check_choice_axiom, oracle.check_choice_axiom),
+    Axiom.ODDS_INDEPENDENCE: (check_odds_independence, oracle.check_odds_independence),
+    Axiom.PRODUCT_RULE: (check_product_rule, oracle.check_product_rule),
+    Axiom.SET_CHOICE_AXIOM: (check_set_choice_axiom, oracle.check_set_choice_axiom),
+    Axiom.SET_INTERSECTION_RULE: (
+        check_set_intersection_rule,
+        oracle.check_set_intersection_rule,
+    ),
+    Axiom.POSITIVITY: (check_positivity, oracle.check_positivity),
+    Axiom.FULL_SUPPORT: (check_full_support, oracle.check_full_support),
+    Axiom.RENYI_CONDITIONING: (check_renyi_conditioning, oracle.check_renyi_conditioning),
+}
+
+
+def encoded(reports, rule=None) -> str:
+    """The report document ``lucekit check`` writes for these reports."""
+    payload = {
+        "type": "axioms",
+        "mode": rule.mode if rule else "exact",
+        "eps": rule.eps if rule else 0.0,
+        "all_hold": all(r.holds for r in reports),
+        "reports": [encode_axiom_report(r) for r in reports],
+    }
+    return dumps_document(payload, kind="report")
+
+
+def outcome(checker, *args):
+    """Encoded report, or the size refusal's message."""
+    try:
+        return encoded([checker(*args)])
+    except FamilySizeError as exc:
+        return f"FamilySizeError: {exc}"
+
+
+def complete_family(rng: random.Random, max_n: int = 6) -> ChoiceFamily:
+    return ChoiceFamily.of_all_subsets(helpers.universe_of(rng.randint(1, max_n)))
+
+
+def partial_family(rng: random.Random) -> ChoiceFamily:
+    universe = helpers.universe_of(rng.randint(2, 7))
+    sets = [cs for cs in universe.subsets() if rng.random() < 0.5]
+    sets.append(ChoiceSet(universe.alternatives[:2]))
+    return ChoiceFamily(universe, set(sets))
+
+
+def wide_family(rng: random.Random) -> ChoiceFamily:
+    """``of_pairs`` on 18-21 alternatives plus nested menus of 3-12 members.
+
+    The whole universe (and the larger menus) have 2^|A| > |F|, so their
+    subsets are found by the family scan; smaller menus walk submasks.
+    """
+    universe = helpers.universe_of(rng.randint(18, 21))
+    sets = set(ChoiceFamily.of_pairs(universe).sets)
+    for _ in range(rng.randint(1, 3)):
+        big = rng.sample(universe.alternatives, rng.randint(8, 12))
+        sets.add(ChoiceSet(big))
+        for _ in range(rng.randint(1, 4)):
+            sets.add(ChoiceSet(rng.sample(big, rng.randint(3, 6))))
+    return ChoiceFamily(universe, sets)
+
+
+def wide_family_within_limit(rng: random.Random) -> ChoiceFamily:
+    """Like :func:`wide_family` but without the whole universe, so set choice runs."""
+    family = wide_family(rng)
+    full = ChoiceSet(family.universe.alternatives)
+    return ChoiceFamily(family.universe, [cs for cs in family if cs != full])
+
+
+FAMILIES = {
+    "complete": complete_family,
+    "partial": partial_family,
+    "wide": wide_family,
+    "wide-within-limit": wide_family_within_limit,
+}
+
+
+def make_rule(rng: random.Random, family: ChoiceFamily, selective: bool, perturb: bool):
+    universe = family.universe
+    weights = helpers.random_rational_weights(universe, rng)
+    if selective:
+        order = helpers.random_weak_order(universe, rng)
+        rule = general_luce_rule(correspondence_from_order(order, family), weights)
+    else:
+        rule = luce_rule(weights, family)
+    if perturb and any(len(A) >= 2 for A in family):
+        rule = helpers.perturb_rule(rule, rng)
+    return rule
+
+
+rule_cases = given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    kind=st.sampled_from(sorted(FAMILIES)),
+    selective=st.booleans(),
+    perturb=st.booleans(),
+    as_float=st.booleans(),
+)
+
+
+class TestMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @rule_cases
+    def test_every_checker_encodes_like_the_oracle(
+        self, seed, kind, selective, perturb, as_float
+    ):
+        rng = random.Random(seed)
+        rule = make_rule(rng, FAMILIES[kind](rng), selective, perturb)
+        if as_float:
+            rule = rule.as_float()
+        for axiom, (checker, reference) in RULE_CHECKERS.items():
+            assert outcome(checker, rule) == outcome(reference, rule), axiom
+        corr = support_correspondence(rule)
+        assert outcome(check_warp, corr) == outcome(oracle.check_warp, corr)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        selective=st.booleans(),
+        perturb=st.booleans(),
+        as_float=st.booleans(),
+    )
+    def test_check_all_shares_one_view_and_matches(self, seed, selective, perturb, as_float):
+        rng = random.Random(seed)
+        family = rng.choice((complete_family, partial_family))(rng)
+        rule = make_rule(rng, family, selective, perturb)
+        if as_float:
+            rule = rule.as_float()
+        ours, reference = check_all(rule), oracle.check_all(rule)
+        assert list(ours) == list(reference)
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+    def test_acceptance_corpus(self, corpus):
+        for rule in corpus.rules:
+            ours, reference = check_all(rule), oracle.check_all(rule)
+            assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+    def test_many_failing_pairs_past_the_witness_cap(self):
+        rng = random.Random(11)
+        rule = helpers.random_synthesized_rule(6, rng)
+        for _ in range(6):
+            rule = helpers.perturb_rule(rule, rng)
+        ours, reference = check_all(rule), oracle.check_all(rule)
+        assert not ours[Axiom.SET_INTERSECTION_RULE].holds
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+
+class TestWarpMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        kind=st.sampled_from(sorted(FAMILIES)),
+    )
+    def test_random_correspondences(self, seed, kind):
+        rng = random.Random(seed)
+        family = FAMILIES[kind](rng)
+        table = {}
+        for A in family:
+            chosen = [a for a in A if rng.random() < 0.6]
+            table[A] = ChoiceSet(chosen or [rng.choice(A.members)])
+        corr = ChoiceCorrespondence(family, table)
+        assert outcome(check_warp, corr) == outcome(oracle.check_warp, corr)
+
+
+class TestCliOrder:
+    def test_axioms_flag_keeps_its_order_and_bytes(self, tmp_path, capsys):
+        rng = random.Random(3)
+        rule = helpers.perturb_rule(helpers.random_synthesized_rule(4, rng), rng)
+        path = tmp_path / "rule.json"
+        write_document(str(path), rule)
+        names = ["warp", "set-intersection-rule", "choice-axiom", "positivity"]
+        assert main(["check", str(path), "--axioms", ",".join(names)]) == 1
+        out = capsys.readouterr().out
+        reference = oracle.check_all(rule)
+        expected = encoded([reference[Axiom(name)] for name in names], rule)
+        assert out == expected
+
+    @pytest.mark.parametrize("selective", [False, True])
+    def test_default_order_ends_with_warp(self, tmp_path, capsys, selective):
+        rng = random.Random(4)
+        rule = make_rule(rng, ChoiceFamily.of_all_subsets(helpers.universe_of(4)), selective, False)
+        path = tmp_path / "rule.json"
+        write_document(str(path), rule)
+        main(["check", str(path)])
+        out = capsys.readouterr().out
+        reference = oracle.check_all(rule)
+        order = [a for a in Axiom if a != Axiom.WARP] + [Axiom.WARP]
+        assert out == encoded([reference[a] for a in order], rule)

@@ -271,3 +271,27 @@ class TestFitPipeline:
         assert res.alpha_hat["a"] - res.alpha_hat["b"] == pytest.approx(
             math.log(2), abs=1e-7
         )
+
+    def test_fit_checks_warp_once(self, monkeypatch):
+        import lucekit.estimate as estimate
+
+        u = Universe("abcd")
+        rng = random.Random(7)
+        counts = {A: {a: rng.randint(1, 9) for a in A} for A in u.subsets()}
+        data = ChoiceDataset(u, counts)
+        gamma, report = support_from_counts(data)
+        calls = []
+        real = estimate.check_warp
+
+        def counting(corr):
+            calls.append(corr)
+            return real(corr)
+
+        monkeypatch.setattr(estimate, "check_warp", counting)
+        res = fit(data)
+        assert len(calls) == 1
+        assert res.warp_report == report
+        direct = fit_alpha_mle(data, gamma)
+        assert len(calls) == 2  # a direct call still checks WARP itself
+        assert direct.warp_report == report
+        assert direct.alpha_hat == res.alpha_hat

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -119,11 +120,15 @@ class TestEnvironmentSwitch:
             "assert not USE_NUMBA;"
             "print(backend_name())"
         )
+        env = {"PATH": "/usr/bin:/bin", "LUCEKIT_DISABLE_NUMBA": "1"}
+        # An uninstalled checkout is importable only through PYTHONPATH.
+        if "PYTHONPATH" in os.environ:
+            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
         out = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/bin", "LUCEKIT_DISABLE_NUMBA": "1"},
+            env=env,
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "numpy"
