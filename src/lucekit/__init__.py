@@ -1,11 +1,8 @@
 """Tools for Luce-style random choice: axiom checking, decomposition,
 synthesis, ranking simulation, and maximum-likelihood estimation.
-
-The sampler and kernel names are loaded on first access so that purely
-symbolic work (checking, decomposing, serializing) never imports the
-numeric stack's JIT machinery.
 """
 
+from ._kernels import backend_name, rank_rows, top_counts
 from .axioms import (
     WITNESS_CAP,
     Axiom,
@@ -75,6 +72,14 @@ from .estimate import (
     log_likelihood_and_gradient,
     support_from_counts,
 )
+from .rum import (
+    EmpiricalRule,
+    GumbelLuceSampler,
+    IndependentRumSampler,
+    LexSampler,
+    empirical_rule,
+    lex_compose,
+)
 from .synthesize import (
     LimitReport,
     LuceWeights,
@@ -86,30 +91,3 @@ from .synthesize import (
 )
 
 __version__ = "0.1.0"
-
-_LAZY = {
-    "GumbelLuceSampler": "rum",
-    "IndependentRumSampler": "rum",
-    "LexSampler": "rum",
-    "EmpiricalRule": "rum",
-    "empirical_rule": "rum",
-    "lex_compose": "rum",
-    "rank_rows": "_kernels",
-    "top_counts": "_kernels",
-    "backend_name": "_kernels",
-    "HAVE_NUMBA": "_kernels",
-    "USE_NUMBA": "_kernels",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_LAZY))

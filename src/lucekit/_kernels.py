@@ -1,40 +1,23 @@
-"""Hot loops for Monte Carlo tallying, jitted when numba is available.
+"""Numpy kernels behind ranking and top-choice tallies.
 
-Two kernels: turning a matrix of draw scores into per-draw rank vectors, and
-counting which member of a choice set ranks best in each draw. Both have a
-pure-numpy twin; set ``LUCEKIT_DISABLE_NUMBA=1`` before import to force the
-numpy path (the benchmark under ``benchmarks/`` compares the two). Ties are
-broken identically on both paths: stable sort in ranking, first index in
-tallying.
+``rank_rows`` turns a matrix of draw scores into per-draw rank vectors (the
+samplers' ``draw_ranks``); ``top_counts`` tallies which column holds each
+row's smallest key (the race in ``empirical_rule``). Ties break toward the
+earlier column in both: stable sort in ranking, first index in tallying.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("LUCEKIT_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-)
-USE_NUMBA = HAVE_NUMBA and not _DISABLED
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    return "numpy"
 
 
-def rank_rows_np(scores: np.ndarray) -> np.ndarray:
+def rank_rows(scores: np.ndarray) -> np.ndarray:
     """Per-row ranks of descending score: 0 marks the row's best column."""
+    scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, axis=1, kind="stable")
     ranks = np.empty(order.shape, dtype=np.int64)
     rows = np.arange(scores.shape[0])[:, None]
@@ -42,66 +25,11 @@ def rank_rows_np(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def top_counts_np(keys: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """How often each listed column holds the row-minimal key among them."""
-    sub = keys[:, members]
-    winners = np.argmin(sub, axis=1)
-    return np.bincount(winners, minlength=members.shape[0]).astype(np.int64)
+def top_counts(keys: np.ndarray) -> np.ndarray:
+    """How often each column holds its row's smallest key.
 
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def rank_rows_nb(scores: np.ndarray) -> np.ndarray:  # pragma: no cover - jitted
-        # Counting rank: with k <= 16 columns the O(k^2) scan beats a per-row
-        # sort and allocates nothing. Ties break toward the earlier column,
-        # matching a stable descending argsort.
-        n, k = scores.shape
-        ranks = np.empty((n, k), dtype=np.int64)
-        for i in range(n):
-            for j in range(k):
-                r = 0
-                s = scores[i, j]
-                for t in range(k):
-                    if scores[i, t] > s or (scores[i, t] == s and t < j):
-                        r += 1
-                ranks[i, j] = r
-        return ranks
-
-    @njit(cache=True)
-    def top_counts_nb(keys: np.ndarray, members: np.ndarray) -> np.ndarray:  # pragma: no cover - jitted
-        n = keys.shape[0]
-        m = members.shape[0]
-        counts = np.zeros(m, dtype=np.int64)
-        for i in range(n):
-            best = 0
-            best_key = keys[i, members[0]]
-            for j in range(1, m):
-                key = keys[i, members[j]]
-                if key < best_key:
-                    best_key = key
-                    best = j
-            counts[best] += 1
-        return counts
-
-
-def rank_rows(scores: np.ndarray) -> np.ndarray:
-    """Per-row dense ranks (0 = highest score), backend-selected."""
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
-    if USE_NUMBA:
-        return rank_rows_nb(scores)
-    return rank_rows_np(scores)
-
-
-def top_counts(keys: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Winner tallies for one choice set, backend-selected.
-
-    ``keys`` is any (draws, universe) integer matrix where lower is better
-    and rows have no ties among the listed members; ``members`` holds the
-    universe indices of the set.
+    ``keys`` is a (draws, members) matrix where lower is better; it must hold
+    no NaN, which would win its row's argmin.
     """
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    members = np.ascontiguousarray(members, dtype=np.int64)
-    if USE_NUMBA:
-        return top_counts_nb(keys, members)
-    return top_counts_np(keys, members)
+    winners = np.argmin(keys, axis=1)
+    return np.bincount(winners, minlength=keys.shape[1]).astype(np.int64)

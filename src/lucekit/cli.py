@@ -23,6 +23,7 @@ from .core import (
     ChoiceFamily,
     RandomChoiceRule,
     Universe,
+    WeakOrder,
 )
 from .decompose import decompose as run_decompose
 from .documents import (
@@ -40,6 +41,7 @@ from .errors import (
     NotRationalError,
 )
 from .estimate import ChoiceDataset, fit as run_fit
+from .rum import GumbelLuceSampler, IndependentRumSampler, LexSampler, empirical_rule
 from .synthesize import (
     LuceWeights,
     general_luce_rule,
@@ -188,10 +190,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # numpy/numba only load for simulation, keeping the other commands quick.
-    from .rum import GumbelLuceSampler, IndependentRumSampler, LexSampler, empirical_rule
-    from .core import WeakOrder
-
     weights = _load_typed(args.weights, LuceWeights, "weights")
     universe = weights.universe
     if args.sampler in ("independent", "lex"):

@@ -10,6 +10,7 @@ so that derived reports and witnesses are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -206,8 +207,8 @@ class RandomChoiceRule:
     ) -> None:
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-        if not (eps > 0.0):
-            raise ValueError("eps must be positive")
+        if not (eps > 0.0 and math.isfinite(eps)):
+            raise ValueError("eps must be positive and finite")
         extra = set(table) - set(family.sets)
         if extra:
             raise ValueError(f"table rows for sets outside the family: {sorted(map(repr, extra))}")
@@ -229,6 +230,9 @@ class RandomChoiceRule:
                     raise ValueError(f"empty support on {cs}")
             else:
                 vals = {a: float(row.get(a, 0.0)) for a in cs}
+                for a, v in vals.items():
+                    if not math.isfinite(v):
+                        raise ValueError(f"non-finite probability {v!r} at ({a}, {cs})")
                 if any(v < -eps or v > 1.0 + eps for v in vals.values()):
                     raise ValueError(f"probabilities outside [0, 1] (eps={eps}) on {cs}")
                 if abs(sum(vals.values()) - 1.0) > eps * len(cs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -143,11 +144,11 @@ def _decode_rule(payload: dict) -> RandomChoiceRule:
         table[A] = decoded
     family = _decode_family(universe, table.keys())
     kwargs: dict[str, Any] = {}
-    if "eps" in payload:
-        kwargs["eps"] = float(payload["eps"])
     try:
+        if "eps" in payload:
+            kwargs["eps"] = float(payload["eps"])
         return RandomChoiceRule(family, table, mode=mode, **kwargs)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise DocumentError(str(exc)) from exc
 
 
@@ -216,8 +217,9 @@ def _decode_utility(payload: dict) -> dict[str, float]:
         raise DocumentError("utility payload needs a nonempty 'u' mapping")
     out = {}
     for a, x in raw.items():
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise DocumentError(f"utility for {a!r} must be a number")
+        # abs(x) <= the largest float refuses NaN, infinities and huge ints.
+        if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
+            raise DocumentError(f"utility for {a!r} must be a finite number")
         out[a] = float(x)
     return out
 
@@ -530,9 +532,13 @@ def _is_document(obj: Any) -> bool:
     )
 
 
+def _refuse_constant(name: str) -> None:
+    raise DocumentError(f"non-finite number {name} in document")
+
+
 def loads_document(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     return from_document(doc)

@@ -6,8 +6,12 @@ live here: Gumbel tie-breaking around weights α (the classic logit
 representation), its bounded arctangent transform combined with a utility
 into a single independent-utility model whose argmax separates utility
 levels deterministically, and lexicographic refinement of a weak order by
-another sampler's draws. :func:`empirical_rule` tallies top choices per
-family set over independent substreams and yields a float-mode rule.
+another sampler's draws.
+
+In all three the top choice from a set A is the logit choice, shares
+proportional to e^α, among the members of A the sampler lets win: its
+``contenders``. :func:`empirical_rule` therefore draws top choices only,
+never whole rankings, and yields a float-mode rule.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .core import (
     RandomChoiceRule,
     Universe,
     WeakOrder,
+    maximizers,
 )
 from .synthesize import LuceWeights, _validate_utility
 
@@ -59,6 +64,10 @@ class GumbelLuceSampler:
 
     def draw_ranks(self, n_draws: int, stream: int = 0) -> np.ndarray:
         return rank_rows(self.draw_scores(n_draws, stream))
+
+    def contenders(self, A: ChoiceSet) -> tuple[str, ...]:
+        """Members of ``A`` that can be its top choice: all of them."""
+        return A.members
 
 
 class IndependentRumSampler:
@@ -99,6 +108,11 @@ class IndependentRumSampler:
     def draw_ranks(self, n_draws: int, stream: int = 0) -> np.ndarray:
         return rank_rows(self.draw_scores(n_draws, stream))
 
+    def contenders(self, A: ChoiceSet) -> tuple[str, ...]:
+        """Members of ``A`` on its top utility level; r = gap/3 bars the rest."""
+        top = max(self.u[a] for a in A)
+        return tuple(a for a in A if self.u[a] == top)
+
 
 class LexSampler:
     """Refines a weak order draw-by-draw with another sampler's rankings.
@@ -114,6 +128,9 @@ class LexSampler:
         self.first = first
         self.base = base
         self.universe = base.universe
+        # Top choices race on the base sampler's weights and substreams.
+        self.seed = base.seed
+        self._alpha = base._alpha
         self._first_ranks = np.array(
             [first.rank(a) for a in self.universe], dtype=np.int64
         )
@@ -125,6 +142,10 @@ class LexSampler:
         # minor one; keys are distinct within a row because base ranks are.
         keys = self._first_ranks[None, :] * k + base_ranks
         return rank_rows(-keys.astype(np.float64))
+
+    def contenders(self, A: ChoiceSet) -> tuple[str, ...]:
+        """The base sampler's contenders among the order's maximizers of ``A``."""
+        return self.base.contenders(maximizers(self.first, A))
 
 
 @dataclass(frozen=True)
@@ -157,22 +178,44 @@ def lex_compose(first: WeakOrder, second: WeakOrder) -> WeakOrder:
     )
 
 
-def empirical_rule(sampler, family: ChoiceFamily, n_draws: int) -> EmpiricalRule:
-    """Tally each set's top-ranked member over ``n_draws`` independent draws.
+# Cap on α_max − α_x in the race: e^700 times any standard exponential draw
+# stays finite, so no key is inf and no 0·inf NaN can win an argmin. A member
+# that far behind wins with probability of order e^-700 or less either way.
+_MAX_EXPONENT = 700.0
 
-    Each family set gets its own substream (indexed by family position), so
-    estimates are independent across sets and reproducible for a fixed
-    sampler seed.
+
+def empirical_rule(sampler, family: ChoiceFamily, n_draws: int) -> EmpiricalRule:
+    """Tally each set's top choice over ``n_draws`` independent draws.
+
+    Only top choices are drawn. A set with a single contender
+    (``sampler.contenders(A)``) gets all ``n_draws`` and no random numbers.
+    Otherwise each draw takes E_x i.i.d. standard exponential per contender
+    and credits argmin E_x·e^(α_max − α_x), the first contender winning
+    ties. With G = −log E this is Gumbel-max over α + G, so x wins with
+    probability e^α_x / Σ e^α (McFadden's logit representation) and the
+    law of the top choice is the samplers' own. Each family set draws from
+    its own substream (indexed by family position), so tallies are
+    independent across sets and reproducible for a fixed sampler seed; they
+    are not the top choices of ``draw_ranks`` under that seed.
     """
     if family.universe != sampler.universe:
         raise ValueError("sampler and family must share a universe")
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
-    universe = family.universe
+    if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
+        raise ValueError(f"n_draws must be a positive int, got {n_draws!r}")
+    n_draws = int(n_draws)
+    index = family.universe.index
     counts: dict[ChoiceSet, dict[str, int]] = {}
     for A in family:
-        ranks = sampler.draw_ranks(n_draws, stream=family.position(A))
-        members = np.array([universe.index(a) for a in A], dtype=np.int64)
-        tally = top_counts(ranks, members)
-        counts[A] = {a: int(tally[j]) for j, a in enumerate(A)}
+        names = sampler.contenders(A)
+        row = dict.fromkeys(A.members, 0)
+        if len(names) == 1:
+            row[names[0]] = n_draws
+        else:
+            alpha = sampler._alpha[[index(a) for a in names]]
+            scale = np.exp(np.minimum(alpha.max() - alpha, _MAX_EXPONENT))
+            rng = _substream(sampler.seed, family.position(A))
+            keys = rng.standard_exponential((n_draws, len(names)))
+            keys *= scale
+            row.update(zip(names, top_counts(keys).tolist()))
+        counts[A] = row
     return EmpiricalRule(family=family, counts=counts, n_draws=n_draws)

@@ -57,12 +57,12 @@ class LuceWeights:
         vals: dict[str, Value] = {}
         for a in universe:
             w = Fraction(v[a]) if exact else float(v[a])
-            if not w > 0:
-                raise ValueError(f"weight for {a!r} must be positive, got {v[a]!r}")
+            if not (w > 0 and (exact or math.isfinite(w))):
+                raise ValueError(f"weight for {a!r} must be positive and finite, got {v[a]!r}")
             vals[a] = w
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "v", vals)
-        object.__setattr__(self, "alpha", {a: math.log(vals[a]) for a in universe})
+        object.__setattr__(self, "alpha", {a: _log(vals[a]) for a in universe})
         object.__setattr__(self, "mode", EXACT if exact else FLOAT)
 
     @classmethod
@@ -73,11 +73,24 @@ class LuceWeights:
     def from_alpha(cls, universe: Universe, alpha: Mapping[str, float]) -> "LuceWeights":
         if set(alpha) != set(universe.alternatives):
             raise ValueError("alpha must cover exactly the universe")
-        return cls(universe, {a: math.exp(float(alpha[a])) for a in universe})
+        v = {}
+        for a in universe:
+            try:
+                v[a] = math.exp(float(alpha[a]))
+            except OverflowError:
+                raise ValueError(f"weight for {a!r} overflows: alpha = {alpha[a]!r}") from None
+        return cls(universe, v)
 
     @classmethod
     def uniform(cls, universe: Universe) -> "LuceWeights":
         return cls(universe, {a: Fraction(1) for a in universe})
+
+
+def _log(w: Value) -> float:
+    try:
+        return math.log(w)
+    except (OverflowError, ValueError):  # a rational beyond float range
+        return math.log(w.numerator) - math.log(w.denominator)
 
 
 def _validate_utility(universe: Universe, u: Mapping[str, float]) -> dict[str, float]:

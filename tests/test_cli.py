@@ -11,9 +11,11 @@ from lucekit import (
     ChoiceFamily,
     ChoiceSet,
     LuceWeights,
+    RandomChoiceRule,
     Universe,
     WeakOrder,
     correspondence_from_order,
+    dumps_document,
     loads_document,
     write_document,
 )
@@ -137,6 +139,18 @@ class TestCheck:
     def test_missing_file_is_usage_error(self, work, capsys):
         code, _, err = run(["check", work["dir"] / "absent.json"], capsys)
         assert code == 2 and "cannot read" in err
+
+    def test_non_finite_probability_is_usage_error(self, work, capsys):
+        rule = RandomChoiceRule(
+            ChoiceFamily(Universe("ab"), [ChoiceSet("ab")]),
+            {ChoiceSet("ab"): {"a": 0.5, "b": 0.5}},
+            mode="float",
+        )
+        path = work["dir"] / "nan_rule.json"
+        path.write_text(dumps_document(rule).replace('"b": 0.5', '"b": NaN'))
+        code, out, err = run(["check", path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("lucekit: ") and err.count("\n") == 1
 
     def test_wrong_kind_is_usage_error(self, work, capsys):
         code, _, err = run(["check", work["weights"]], capsys)

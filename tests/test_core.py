@@ -187,6 +187,18 @@ class TestRandomChoiceRule:
         with pytest.raises(ValueError):
             RandomChoiceRule(fam, table, mode=FLOAT, eps=1e-9)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_cells_rejected(self, bad):
+        fam = ChoiceFamily(Universe("ab"), [ChoiceSet("ab")])
+        with pytest.raises(ValueError, match="non-finite probability"):
+            RandomChoiceRule(fam, {ChoiceSet("ab"): {"a": 0.5, "b": bad}}, mode=FLOAT)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        fam = ChoiceFamily(Universe("ab"), [ChoiceSet("ab")])
+        with pytest.raises(ValueError, match="eps"):
+            RandomChoiceRule(fam, {ChoiceSet("ab"): {"a": 0.5, "b": 0.5}}, mode=FLOAT, eps=eps)
+
     def test_empty_support_rejected_in_float_mode(self):
         fam = ChoiceFamily(Universe("ab"), [ChoiceSet("ab")])
         # Entries at or below eps count as zero, so this row has no support.

@@ -231,6 +231,37 @@ class TestRejection:
         with pytest.raises((DocumentError, ValueError)):
             from_document(doc)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_rejected_on_decode(self, constant):
+        u = Universe("ab")
+        rule = RandomChoiceRule(
+            ChoiceFamily(u, [ChoiceSet("ab")]),
+            {ChoiceSet("ab"): {"a": 0.5, "b": 0.5}},
+            mode="float",
+        )
+        text = dumps_document(rule).replace('"b": 0.5', f'"b": {constant}')
+        assert constant in text
+        with pytest.raises(DocumentError, match="non-finite"):
+            loads_document(text)
+
+    def test_overflowing_number_rejected_on_decode(self):
+        text = dumps_document(LuceWeights.from_alpha(Universe("ab"), {"a": 0.0, "b": 1.0}))
+        with pytest.raises(DocumentError, match="'b'"):
+            loads_document(text.replace('"b": 2.718281828459045', '"b": 1e999'))
+
+    @pytest.mark.parametrize("eps", ["tiny", [1e-9], 1e999])
+    def test_bad_rule_eps_rejected_on_decode(self, eps):
+        doc = to_document(helpers.random_synthesized_rule(3, random.Random(8)).as_float())
+        doc["payload"]["eps"] = eps
+        with pytest.raises(DocumentError, match="eps|float"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("big", ["1e999", "1" + "0" * 400])
+    def test_overflowing_utility_rejected_on_decode(self, big):
+        text = dumps_document({"a": 1.0, "b": 0.5}, kind="utility")
+        with pytest.raises(DocumentError, match="'b'"):
+            loads_document(text.replace("0.5", big))
+
     def test_nan_rejected_on_encode(self):
         with pytest.raises(ValueError):
             dumps_document({"a": float("nan")}, kind="utility")

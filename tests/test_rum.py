@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucekit import (
     ChoiceFamily,
@@ -10,6 +13,7 @@ from lucekit import (
     Universe,
     WeakOrder,
     check_choice_axiom,
+    general_luce_rule_from_utility,
     maximizers,
 )
 from lucekit.rum import (
@@ -168,3 +172,98 @@ class TestEmpiricalRule:
         mc_eps = 4 * math.sqrt(0.25 / n)
         rule = emp.as_rule(eps=mc_eps)
         assert check_choice_axiom(rule).holds
+
+
+@st.composite
+def _sampler_cases(draw):
+    """A universe of 2-6 alternatives with weights, a utility and a seed."""
+    n = draw(st.integers(2, 6))
+    universe = Universe("abcdef"[:n])
+    alpha = draw(st.lists(st.floats(-700, 700), min_size=n, max_size=n))
+    levels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    weights = LuceWeights.from_alpha(universe, dict(zip(universe, alpha)))
+    u = {a: float(x) for a, x in zip(universe, levels)}
+    return weights, u, seed
+
+
+def _samplers(weights, u, seed):
+    order = WeakOrder.from_utility(weights.universe, u)
+    return {
+        "gumbel": GumbelLuceSampler(weights, seed=seed),
+        "independent": IndependentRumSampler(u, weights, seed=seed),
+        "lex": LexSampler(order, GumbelLuceSampler(weights, seed=seed)),
+    }
+
+
+class TestTopChoiceTally:
+    @settings(max_examples=40, deadline=None)
+    @given(_sampler_cases(), st.integers(1, 60))
+    def test_contenders_totals_and_reproducibility(self, case, n_draws):
+        weights, u, seed = case
+        family = ChoiceFamily.of_all_subsets(weights.universe)
+        order = WeakOrder.from_utility(weights.universe, u)
+        for name, sampler in _samplers(weights, u, seed).items():
+            emp = empirical_rule(sampler, family, n_draws)
+            again = empirical_rule(_samplers(weights, u, seed)[name], family, n_draws)
+            assert emp.counts == again.counts
+            for A in family:
+                row = emp.counts[A]
+                assert list(row) == list(A.members)
+                assert sum(row.values()) == n_draws
+                if name == "lex":
+                    allowed = set(maximizers(order, A).members)
+                elif name == "independent":
+                    top = max(u[a] for a in A)
+                    allowed = {a for a in A if u[a] == top}
+                else:
+                    allowed = set(A.members)
+                assert {a for a, c in row.items() if c} <= allowed
+                if len(allowed) == 1:
+                    assert row[next(iter(allowed))] == n_draws
+
+    def test_shares_match_the_general_luce_rule(self):
+        universe = Universe("abcde")
+        weights = LuceWeights.from_alpha(
+            universe, {"a": 0.0, "b": 0.7, "c": -0.4, "d": 1.1, "e": 0.2}
+        )
+        u = {"a": 1.0, "b": 1.0, "c": 0.0, "d": 0.0, "e": 1.0}
+        family = ChoiceFamily.of_all_subsets(universe)
+        n_draws = 20_000
+        flat = {a: 0.0 for a in universe}
+        targets = {
+            "gumbel": general_luce_rule_from_utility(flat, weights, family),
+            "independent": general_luce_rule_from_utility(u, weights, family),
+            "lex": general_luce_rule_from_utility(u, weights, family),
+        }
+        for name, sampler in _samplers(weights, u, seed=31).items():
+            emp = empirical_rule(sampler, family, n_draws)
+            for A in family:
+                for a in A:
+                    p = float(targets[name].p(a, A))
+                    bound = 5 * math.sqrt(p * (1 - p) / n_draws)
+                    assert abs(emp.counts[A][a] / n_draws - p) <= bound, (name, A, a)
+
+    def test_far_ahead_member_wins_every_draw(self):
+        # α = {a: 0, b: 800}: e^800 overflows a float, so the race must clip
+        # its exponent rather than let an inf or NaN key decide.
+        u = Universe("ab")
+        weights = LuceWeights.from_v(u, {"a": 1, "b": Fraction(math.exp(400)) ** 2})
+        assert weights.alpha["b"] == pytest.approx(800.0)
+        family = ChoiceFamily.of_all_subsets(u)
+        with np.errstate(over="raise", invalid="raise"):
+            emp = empirical_rule(GumbelLuceSampler(weights, seed=0), family, 50_000)
+        assert emp.counts[ChoiceSet("ab")] == {"a": 0, "b": 50_000}
+
+    @pytest.mark.parametrize("bad", [0, -3, True, 10.0, "10"])
+    def test_n_draws_must_be_a_positive_int(self, bad):
+        w = _abc_weights()
+        family = ChoiceFamily.of_all_subsets(w.universe)
+        with pytest.raises(ValueError, match="n_draws"):
+            empirical_rule(GumbelLuceSampler(w, seed=0), family, bad)
+
+    def test_numpy_integer_draw_count(self):
+        w = _abc_weights()
+        family = ChoiceFamily.of_all_subsets(w.universe)
+        emp = empirical_rule(GumbelLuceSampler(w, seed=0), family, np.int64(7))
+        assert emp.n_draws == 7 and type(emp.n_draws) is int

@@ -60,6 +60,22 @@ class TestLuceWeights:
         with pytest.raises(ValueError):
             LuceWeights.from_v(u, {"a": Fraction(1), "b": Fraction(1), "z": Fraction(1)})
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_weight_names_the_alternative(self, bad):
+        with pytest.raises(ValueError, match="'b'.*finite"):
+            LuceWeights.from_v(Universe("ab"), {"a": 1.0, "b": bad})
+
+    @pytest.mark.parametrize("alpha", [800.0, float("inf"), float("nan")])
+    def test_from_alpha_overflow_names_the_alternative(self, alpha):
+        with pytest.raises(ValueError, match="'b'"):
+            LuceWeights.from_alpha(Universe("ab"), {"a": 0.0, "b": alpha})
+
+    def test_exact_weights_beyond_float_range_keep_finite_alpha(self):
+        u = Universe("abc")
+        w = LuceWeights.from_v(u, {"a": 1, "b": 10**400, "c": Fraction(1, 10**400)})
+        assert w.alpha["b"] == pytest.approx(400 * math.log(10))
+        assert w.alpha["c"] == pytest.approx(-400 * math.log(10))
+
 
 class TestLuceRule:
     def test_shares_are_normalized_weights(self):
