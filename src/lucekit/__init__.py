@@ -69,7 +69,6 @@ from .estimate import (
     FitResult,
     fit,
     fit_alpha_mle,
-    log_likelihood_and_gradient,
     support_from_counts,
 )
 from .rum import (

@@ -217,7 +217,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     data = _load_typed(args.dataset, ChoiceDataset, "dataset")
-    result = run_fit(data, pseudo_count=args.pseudo_count)
+    try:
+        result = run_fit(data, pseudo_count=args.pseudo_count)
+    except ValueError as exc:
+        raise DocumentError(f"bad --pseudo-count: {exc}") from exc
     _emit(args, result)
     return 0 if result.alpha_hat is not None else 1
 

@@ -376,6 +376,7 @@ def fit_result_payload(result: FitResult) -> dict:
         "components": [list(c) for c in result.components],
         "ll_path": list(result.ll_path),
         "iterations": result.iterations,
+        "stop_reason": result.stop_reason,
     }
 
 
@@ -392,6 +393,7 @@ def _decode_fit_result(payload: dict) -> FitResult:
         components=tuple(tuple(c) for c in payload.get("components") or ()),
         ll_path=tuple(float(x) for x in payload.get("ll_path") or ()),
         iterations=int(payload.get("iterations") or 0),
+        stop_reason=payload.get("stop_reason"),
     )
 
 

@@ -13,6 +13,7 @@ smallest member of each component at zero.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Mapping
@@ -90,7 +91,11 @@ class FitResult:
     reported values are clamped into that band). ``converged`` is True only
     when the optimizer met its tolerance and nothing separated. ``ll_path``
     holds the starting log-likelihood followed by one value per accepted
-    iteration, so ``iterations == len(ll_path) - 1``.
+    iteration, so ``iterations == len(ll_path) - 1``. ``stop_reason`` is
+    why the optimizer stopped: ``"grad-tol"``, ``"ll-tol"`` (likelihood
+    stalled), ``"backtrack-exhausted"`` (no step size raised it),
+    ``"max-iter"``, ``"singular"`` (every ridge failed) or ``"separated"``;
+    None when no optimizer ran.
     """
 
     gamma_hat: ChoiceCorrespondence
@@ -102,6 +107,7 @@ class FitResult:
     components: tuple[tuple[str, ...], ...] = ()
     ll_path: tuple[float, ...] = ()
     iterations: int = 0
+    stop_reason: str | None = None
 
 
 def support_from_counts(
@@ -121,9 +127,7 @@ def support_from_counts(
     return gamma, check_warp(gamma)
 
 
-def _components(
-    universe: Universe, gamma: ChoiceCorrespondence, observed: list[ChoiceSet]
-) -> tuple[tuple[str, ...], ...]:
+def _components(gamma: ChoiceCorrespondence) -> tuple[tuple[str, ...], ...]:
     """Connected pieces of the co-occurrence graph over identified alternatives."""
     parent: dict[str, str] = {}
 
@@ -133,7 +137,7 @@ def _components(
             x = parent[x]
         return x
 
-    for A in observed:
+    for A in gamma.family:
         members = gamma.gamma(A).members
         for a in members:
             parent.setdefault(a, a)
@@ -147,32 +151,64 @@ def _components(
     return tuple(tuple(groups[root]) for root in sorted(groups))
 
 
-def log_likelihood_and_gradient(
-    data: ChoiceDataset,
-    gamma: ChoiceCorrespondence,
-    alpha: Mapping[str, float],
-) -> tuple[float, dict[str, float]]:
-    """Multinomial-logit log-likelihood on the supports, and its gradient.
+class _Cells:
+    """The observed supports laid end to end, one cell per (set, member).
 
-    ll(α) = Σ_A Σ_{a ∈ Γ(A)} count(a, A) · log( e^{α(a)} / Σ_{b ∈ Γ(A)} e^{α(b)} );
-    ∂ll/∂α(a) = Σ_A ( count(a, A) − N_A · p_A(a) ) over sets with a ∈ Γ(A).
+    Cell k is member ``flat[k]`` (its position in ``index``) of observed set
+    ``cell_set[k]`` and holds its count plus the pseudo-count; each set's
+    ``sizes[s]`` cells start at ``starts[s]``. ``pair_i``/``pair_j`` list
+    every ordered pair of cells of one set, i == j included, and
+    ``pair_key`` the Hessian entry flat[i]·m + flat[j] each pair adds to.
     """
-    ll = 0.0
-    grad = {a: 0.0 for a in alpha}
-    for A in data.family:
-        members = gamma.gamma(A).members
-        counts = data.observations[A]
-        scores = [alpha[a] for a in members]
-        top = max(scores)
-        exps = [math.exp(s - top) for s in scores]
-        denom = sum(exps)
-        log_denom = top + math.log(denom)
-        total = sum(counts.get(a, 0) for a in members)
-        for a, s, e in zip(members, scores, exps):
-            c = counts.get(a, 0)
-            ll += c * (s - log_denom)
-            grad[a] += c - total * (e / denom)
-    return ll, grad
+
+    def __init__(
+        self, data: ChoiceDataset, gamma: ChoiceCorrespondence, index: dict, pseudo: float
+    ) -> None:
+        flat: list[int] = []
+        counts: list[int] = []
+        sizes: list[int] = []
+        for A in data.family:
+            support, row = gamma.gamma(A), data.observations[A]
+            for a, c in row.items():
+                if c > 0 and a not in support:
+                    raise CountsOffSupportError(
+                        f"{c} choices of {a!r} from {A} fall outside the support {support}"
+                    )
+            flat.extend(index[a] for a in support)
+            counts.extend(row.get(a, 0) for a in support)
+            sizes.append(len(support))
+        self.m = m = len(index)
+        self.flat = np.array(flat, dtype=np.intp)
+        self.counts = np.array(counts, dtype=np.float64) + float(pseudo)
+        self.sizes = sizes = np.array(sizes, dtype=np.intp)
+        self.starts = starts = np.cumsum(sizes) - sizes
+        self.cell_set = np.repeat(np.arange(sizes.size), sizes)
+        self.totals = np.add.reduceat(self.counts, starts)
+        squares = sizes * sizes
+        pair_set = np.repeat(np.arange(sizes.size), squares)
+        offset = np.arange(pair_set.size) - np.repeat(np.cumsum(squares) - squares, squares)
+        self.pair_i = starts[pair_set] + offset // sizes[pair_set]
+        self.pair_j = starts[pair_set] + offset % sizes[pair_set]
+        self.pair_key = self.flat[self.pair_i] * m + self.flat[self.pair_j]
+
+    def ll_grad_hess(self, alpha: np.ndarray, want_hess: bool):
+        """Log-likelihood, gradient and, if wanted, the Fisher information
+        Σ_A t_A (diag p − p pᵀ) at α, in one vectorized pass over the cells."""
+        flat, cell_set, m = self.flat, self.cell_set, self.m
+        scores = alpha[flat]
+        shifted = scores - np.maximum.reduceat(scores, self.starts)[cell_set]
+        exps = np.exp(shifted)
+        denom = np.add.reduceat(exps, self.starts)
+        p = exps / denom[cell_set]
+        ll = float(self.counts @ shifted - self.totals @ np.log(denom))
+        tp = self.totals[cell_set] * p
+        grad = np.bincount(flat, weights=self.counts - tp, minlength=m)
+        if not want_hess:
+            return ll, grad, None
+        pair_w = -tp[self.pair_i] * p[self.pair_j]
+        hess = np.bincount(self.pair_key, weights=pair_w, minlength=m * m).reshape(m, m)
+        hess[np.diag_indices(m)] += np.bincount(flat, weights=tp, minlength=m)
+        return ll, grad, hess
 
 
 def fit_alpha_mle(
@@ -190,9 +226,12 @@ def fit_alpha_mle(
     The correspondence must be contraction-consistent and every positive
     count must lie inside it. ``pseudo_count`` is added to every in-support
     cell before fitting (off by default so supports mean positive
-    frequency). Alternatives outside every observed support are reported
-    with α̂ = 0 but are not identified by the data. ``_warp_report``, when
-    given, is ``check_warp(gamma)`` already computed by the caller.
+    frequency); it must be a finite nonnegative real that keeps the
+    log-likelihood finite, else ``ValueError``. Alternatives outside every
+    observed support are reported with α̂ = 0 but are not identified by the
+    data. ``_warp_report``, when given, is ``check_warp(gamma)`` already
+    computed by the caller. Each likelihood, gradient and Hessian
+    evaluation is one vectorized pass over the supports laid end to end.
     """
     if gamma.family != data.family:
         raise ValueError("correspondence and dataset must cover the same sets")
@@ -201,62 +240,28 @@ def fit_alpha_mle(
         raise NotRationalError(
             "estimated support violates contraction consistency", report=warp_report
         )
-    if pseudo_count < 0:
-        raise ValueError("pseudo-count must be nonnegative")
-    observed = list(data.family)
-    for A in observed:
-        chosen = set(gamma.gamma(A).members)
-        for a, c in data.observations[A].items():
-            if c > 0 and a not in chosen:
-                raise CountsOffSupportError(
-                    f"{c} choices of {a!r} from {A} fall outside the support {gamma.gamma(A)}"
-                )
+    if isinstance(pseudo_count, bool) or not isinstance(pseudo_count, numbers.Real) or not (
+        0 <= pseudo_count < math.inf
+    ):
+        raise ValueError(f"pseudo-count must be a finite nonnegative number, got {pseudo_count!r}")
 
-    components = _components(data.universe, gamma, observed)
+    components = _components(gamma)
     fitted = [a for group in components for a in group]
     index = {a: j for j, a in enumerate(fitted)}
     m = len(fitted)
-    # Per-set member indices, effective counts, and totals.
-    set_members: list[np.ndarray] = []
-    set_counts: list[np.ndarray] = []
-    for A in observed:
-        members = gamma.gamma(A).members
-        counts = np.array(
-            [data.observations[A].get(a, 0) + pseudo_count for a in members],
-            dtype=np.float64,
-        )
-        set_members.append(np.array([index[a] for a in members], dtype=np.int64))
-        set_counts.append(counts)
-
-    def ll_grad_hess(alpha: np.ndarray, want_hess: bool):
-        ll = 0.0
-        grad = np.zeros(m)
-        hess = np.zeros((m, m)) if want_hess else None
-        for members, counts in zip(set_members, set_counts):
-            scores = alpha[members]
-            top = scores.max()
-            exps = np.exp(scores - top)
-            denom = exps.sum()
-            p = exps / denom
-            total = counts.sum()
-            ll += float(counts @ (scores - (top + math.log(denom))))
-            grad[members] += counts - total * p
-            if want_hess:
-                block = total * (np.diag(p) - np.outer(p, p))
-                hess[np.ix_(members, members)] += block
-        return ll, grad, hess
-
     alpha = np.zeros(m)
-    ll, grad, _ = ll_grad_hess(alpha, want_hess=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = _Cells(data, gamma, index, pseudo_count)
+        ll, grad, _ = cells.ll_grad_hess(alpha, want_hess=False)
+    if not math.isfinite(ll):
+        raise ValueError(f"pseudo-count {pseudo_count!r} overflows the log-likelihood")
     ll_path = [ll]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    stop_reason = "max-iter"
+    for _ in range(max_iter):
         if np.abs(grad).max() < GRAD_TOL:
-            converged = True
-            iterations -= 1
+            stop_reason = "grad-tol"
             break
-        _, _, hess = ll_grad_hess(alpha, want_hess=True)
+        _, _, hess = cells.ll_grad_hess(alpha, want_hess=True)
         # The likelihood is shift-invariant within components, so the
         # curvature matrix is singular along those directions; a small
         # ridge makes the solve well-posed without moving the optimum.
@@ -269,26 +274,24 @@ def fit_alpha_mle(
             except np.linalg.LinAlgError:
                 ridge *= 100.0
         if step is None:
+            stop_reason = "singular"
             break
         scale = 1.0
         while scale > 1e-8:
             candidate = alpha + scale * step
-            new_ll, new_grad, _ = ll_grad_hess(candidate, want_hess=False)
+            new_ll, new_grad, _ = cells.ll_grad_hess(candidate, want_hess=False)
             if new_ll >= ll:
                 alpha, ll, grad = candidate, new_ll, new_grad
                 break
             scale /= 2.0
         else:
-            converged = np.abs(grad).max() < GRAD_TOL
+            stop_reason = "backtrack-exhausted"
             break
         ll_path.append(ll)
-        if len(ll_path) >= 2:
-            prev, cur = ll_path[-2], ll_path[-1]
-            if abs(cur - prev) <= REL_LL_TOL * (1.0 + abs(prev)):
-                converged = True
-                break
-    else:
-        converged = bool(np.abs(grad).max() < GRAD_TOL)
+        if abs(ll_path[-1] - ll_path[-2]) <= REL_LL_TOL * (1.0 + abs(ll_path[-2])):
+            stop_reason = "ll-tol"
+            break
+    converged = stop_reason == "ll-tol" or bool(np.abs(grad).max() < GRAD_TOL)
 
     # An alternative never chosen in any set where the support offers a
     # genuine alternative has no finite maximizer: its gradient stays
@@ -296,17 +299,10 @@ def fit_alpha_mle(
     # (their probability is 1 regardless of the weights), so they neither
     # starve nor rescue anything. The post-hoc clamp below catches any
     # other runaway direction.
-    informative = np.zeros(m, dtype=bool)
-    chosen_total = np.zeros(m)
-    for members, counts in zip(set_members, set_counts):
-        if members.size >= 2:
-            informative[members] = True
-            chosen_total[members] += counts
-    starved = {
-        a
-        for a in fitted
-        if informative[index[a]] and chosen_total[index[a]] == 0.0
-    }
+    multi = cells.sizes[cells.cell_set] >= 2
+    informative = np.bincount(cells.flat[multi], minlength=m) > 0
+    chosen = np.bincount(cells.flat, weights=np.where(multi, cells.counts, 0.0), minlength=m)
+    starved = {fitted[j] for j in np.flatnonzero(informative & (chosen == 0.0))}
 
     # Pin each component at zero on its lexicographically smallest
     # non-starved member. One always exists: a component is either linked
@@ -322,10 +318,9 @@ def fit_alpha_mle(
     if separated:
         alpha = np.clip(alpha, -ALPHA_CLAMP, ALPHA_CLAMP)
         converged = False
-        ll, _, _ = ll_grad_hess(alpha, want_hess=False)
-    alpha_hat = {a: 0.0 for a in data.universe}
-    for a in fitted:
-        alpha_hat[a] = float(alpha[index[a]])
+        stop_reason = "separated"
+        ll, _, _ = cells.ll_grad_hess(alpha, want_hess=False)
+    alpha_hat = {a: float(alpha[index[a]]) if a in index else 0.0 for a in data.universe}
     return FitResult(
         gamma_hat=gamma,
         alpha_hat=alpha_hat,
@@ -335,7 +330,8 @@ def fit_alpha_mle(
         separated=separated,
         components=components,
         ll_path=tuple(ll_path),
-        iterations=iterations,
+        iterations=len(ll_path) - 1,
+        stop_reason=stop_reason,
     )
 
 

@@ -37,7 +37,6 @@ from lucekit import (
     general_luce_rule_from_utility,
     lambda_smoothed_rule,
     limit_check,
-    log_likelihood_and_gradient,
     maximizers,
     support_correspondence,
     write_document,
@@ -52,6 +51,7 @@ from lucekit.rum import (
 )
 
 import helpers
+from oracle_estimate import log_likelihood_and_gradient
 
 
 def _finish(announce, num, label, failures, seconds, budget=None):

@@ -316,6 +316,25 @@ class TestSimulateAndFit:
         assert payload["warp_report"]["holds"] is False
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "1e308"])
+    def test_fit_bad_pseudo_count_exits_two(self, work, capsys, value):
+        data_path = work["dir"] / "data.json"
+        data_path.write_text(json.dumps({
+            "kind": "dataset",
+            "version": "1",
+            "payload": {
+                "universe": ["a", "b"],
+                "observations": [{"set": ["a", "b"], "counts": {"a": 30, "b": 10}}],
+            },
+        }))
+        code, out, err = run(["fit", data_path, f"--pseudo-count={value}"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("lucekit: ") and err.count("\n") == 1 and "pseudo-count" in err
+        code, out, _ = run(["fit", data_path, "--pseudo-count=0.5"], capsys)
+        assert code == 0
+        assert json.loads(out)["payload"]["stop_reason"] == "ll-tol"
+
+
 class TestLimit:
     def test_converged_schedule_exits_zero(self, work, capsys):
         code, out, _ = run(

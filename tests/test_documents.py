@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -147,6 +148,17 @@ class TestReports:
         assert back["result"] == res
         assert dumps_document(back["result"]) == text
 
+    def test_fit_report_stop_reason_round_trip(self):
+        u = Universe("ab")
+        res = fit(ChoiceDataset(u, {ChoiceSet("ab"): {"a": 30, "b": 10}}))
+        doc = json.loads(dumps_document(res))
+        assert doc["payload"]["stop_reason"] == res.stop_reason == "ll-tol"
+        # Reports written before the field existed still decode.
+        del doc["payload"]["stop_reason"]
+        back = loads_document(json.dumps(doc))["result"]
+        assert back.stop_reason is None
+        assert dataclasses.replace(back, stop_reason="ll-tol") == res
+
     def test_blocked_fit_serializes_nan_as_null(self):
         u = Universe("abc")
         data = ChoiceDataset(
@@ -163,6 +175,7 @@ class TestReports:
         back = loads_document(text)["result"]
         assert math.isnan(back.log_likelihood)
         assert back.alpha_hat is None
+        assert back.stop_reason is None and '"stop_reason": null' in text
 
     def test_limit_report_round_trip(self):
         u = Universe("ab")

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucekit import (
     ChoiceCorrespondence,
@@ -19,11 +21,16 @@ from lucekit import (
     fit,
     fit_alpha_mle,
     general_luce_rule,
-    log_likelihood_and_gradient,
     support_from_counts,
 )
+from lucekit.estimate import _Cells, _components
 
 import helpers
+from oracle_estimate import (
+    log_likelihood_and_gradient,
+    per_set_ll_grad_hess,
+    reference_fit_alpha_mle,
+)
 
 
 def _dataset(universe, rows):
@@ -295,3 +302,197 @@ class TestFitPipeline:
         assert len(calls) == 2  # a direct call still checks WARP itself
         assert direct.warp_report == report
         assert direct.alpha_hat == res.alpha_hat
+
+
+def _random_problem(seed: int, n: int, zeros: bool = True):
+    """A WARP-consistent support with counts on up to 8 random small menus.
+
+    Menus are drawn from the first k ≤ n letters, so some alternatives go
+    unobserved; menus are small, so several components are common; random
+    weak orders give singleton supports. With ``zeros``, some in-support
+    cells get no choices, which starves some alternatives and leaves the
+    maximum likelihood without a finite maximizer in some directions;
+    without, every cell is positive and the maximizer exists.
+    """
+    rng = random.Random(seed)
+    u = helpers.universe_of(n)
+    pool = u.alternatives[: rng.randint(1, n)]
+    menus = {
+        ChoiceSet(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+        for _ in range(rng.randint(1, 8))
+    }
+    family = ChoiceFamily(u, menus)
+    gamma = helpers.random_warp_correspondence(u, rng, family)
+    choices = [0, 0, 1, 2, 5, 17] if zeros else [1, 2, 5, 17]
+    counts = {}
+    for A in family:
+        members = gamma.gamma(A).members
+        row = {a: rng.choice(choices) for a in members}
+        if not any(row.values()):
+            row[rng.choice(members)] = rng.randint(1, 9)
+        counts[A] = row
+    alpha = {a: rng.uniform(-3, 3) for a in u}
+    return ChoiceDataset(u, counts), gamma, alpha
+
+
+def _fitted_index(gamma):
+    components = _components(gamma)
+    return {a: j for j, a in enumerate(a for group in components for a in group)}
+
+
+seeds = st.integers(0, 2**32 - 1)
+problems = st.builds(_random_problem, seeds, st.integers(1, 7))
+positive_problems = st.builds(_random_problem, seeds, st.integers(1, 7), st.just(False))
+pseudo_counts = st.sampled_from([0.0, 0.25, 1.0, 3.5])
+
+
+class TestVectorizedEvaluator:
+    """``_Cells.ll_grad_hess`` and the fit built on it, against the
+    set-at-a-time oracles of ``oracle_estimate``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems, st.integers(0, 3))
+    def test_ll_and_gradient_match_dict_oracle(self, problem, pseudo):
+        data, gamma, alpha = problem
+        index = _fitted_index(gamma)
+        # An integer pseudo-count is the same as adding it to the data.
+        padded = ChoiceDataset(
+            data.universe,
+            {
+                A: {a: c + pseudo for a, c in row.items()}
+                for A, row in data.observations.items()
+            },
+        )
+        want_ll, want_grad = log_likelihood_and_gradient(padded, gamma, alpha)
+        vec = np.array([alpha[a] for a in index])
+        ll, grad, _ = _Cells(data, gamma, index, pseudo).ll_grad_hess(vec, False)
+        scale = sum(sum(row.values()) for row in padded.observations.values())
+        assert ll == pytest.approx(want_ll, rel=1e-12, abs=1e-12 * scale)
+        for a, j in index.items():
+            assert grad[j] == pytest.approx(want_grad[a], rel=1e-12, abs=1e-12 * scale)
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems, pseudo_counts)
+    def test_hessian_matches_per_set_oracle(self, problem, pseudo):
+        data, gamma, alpha = problem
+        index = _fitted_index(gamma)
+        vec = np.array([alpha[a] for a in index])
+        oracle, _, _ = per_set_ll_grad_hess(data, gamma, index, pseudo)
+        want_ll, want_grad, want_hess = oracle(vec, True)
+        ll, grad, hess = _Cells(data, gamma, index, pseudo).ll_grad_hess(vec, True)
+        scale = sum(sum(row.values()) + pseudo * len(row) for row in data.observations.values())
+        assert ll == pytest.approx(want_ll, rel=1e-12, abs=1e-12 * scale)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(hess, want_hess, rtol=1e-12, atol=1e-12 * scale)
+
+    @staticmethod
+    def _same_path(res, ref):
+        assert res.components == ref["components"]
+        assert res.separated == ref["separated"]
+        # Near the optimum a step's gain can fall below the resolution of
+        # the log-likelihood, and rounding alone then decides whether the
+        # backtracking accepts it. Only there may the two runs part: one
+        # exhausts its backtracking where the other takes the step.
+        if "backtrack-exhausted" not in (res.stop_reason, ref["stop_reason"]):
+            assert res.iterations == ref["iterations"]
+            assert res.converged is ref["converged"]
+        assert abs(len(res.ll_path) - len(ref["ll_path"])) <= 1
+        for got, want in zip(res.ll_path, ref["ll_path"]):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(positive_problems, pseudo_counts)
+    def test_fit_matches_reference_loop(self, problem, pseudo):
+        data, gamma, _ = problem
+        res = fit_alpha_mle(data, gamma, pseudo_count=pseudo)
+        ref = reference_fit_alpha_mle(data, gamma, pseudo_count=pseudo)
+        self._same_path(res, ref)
+        assert res.separated == ()
+        assert res.log_likelihood == pytest.approx(ref["log_likelihood"], rel=1e-12)
+        # The same rounding-decided final step moves α̂ by at most its
+        # length, about sqrt(2·ulp(ll)/curvature).
+        for a in data.universe:
+            assert res.alpha_hat[a] == pytest.approx(ref["alpha_hat"][a], abs=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems)
+    def test_separated_fit_matches_reference_loop(self, problem):
+        # Along a direction with no finite maximizer the iterates run off
+        # while the curvature vanishes, so α̂ there depends on rounding and
+        # only the path and the diagnostics are compared.
+        data, gamma, _ = problem
+        self._same_path(fit_alpha_mle(data, gamma), reference_fit_alpha_mle(data, gamma))
+
+
+def _binary_fit():
+    data = _dataset(Universe("ab"), {"ab": {"a": 30, "b": 60}})
+    return data, ChoiceCorrespondence(data.family, {A: A for A in data.family})
+
+
+class TestStopReason:
+    def _check(self, res, reason, converged):
+        assert res.stop_reason == reason
+        assert type(res.converged) is bool and res.converged is converged
+        assert res.iterations == len(res.ll_path) - 1
+
+    def test_gradient_zero_at_start(self):
+        data = _dataset(Universe("ab"), {"a": {"a": 5}, "b": {"b": 5}})
+        res = fit(data)
+        self._check(res, "grad-tol", True)
+        assert res.iterations == 0
+
+    def test_likelihood_stalls(self):
+        res = fit_alpha_mle(*_binary_fit())
+        self._check(res, "ll-tol", True)
+        assert res.iterations >= 1
+
+    def test_iteration_limit(self):
+        res = fit_alpha_mle(*_binary_fit(), max_iter=1)
+        self._check(res, "max-iter", False)
+        assert res.iterations == 1
+
+    def test_every_ridge_fails(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        self._check(fit_alpha_mle(*_binary_fit()), "singular", False)
+
+    def test_no_step_size_raises_the_likelihood(self, monkeypatch):
+        # A non-finite Newton step gives a NaN log-likelihood at every
+        # scale, and NaN is never accepted.
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(len(b), np.nan))
+        self._check(fit_alpha_mle(*_binary_fit()), "backtrack-exhausted", False)
+
+    def test_separated(self):
+        data = _dataset(Universe("ab"), {"ab": {"a": 50, "b": 0}, "b": {"b": 3}})
+        gamma = ChoiceCorrespondence(data.family, {A: A for A in data.family})
+        self._check(fit_alpha_mle(data, gamma), "separated", False)
+
+    def test_no_optimizer_without_warp(self):
+        data = _dataset(
+            Universe("abc"),
+            {"ab": {"a": 9, "b": 0}, "abc": {"a": 3, "b": 3, "c": 3}},
+        )
+        res = fit(data)
+        assert res.alpha_hat is None and res.stop_reason is None
+        assert res.converged is False
+
+
+class TestPseudoCount:
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -1, -1e-300, "1", None, True, 1j, 1e308]
+    )
+    def test_refused(self, bad):
+        data, gamma = _binary_fit()
+        with pytest.raises(ValueError, match="pseudo-count"):
+            fit_alpha_mle(data, gamma, pseudo_count=bad)
+        with pytest.raises(ValueError, match="pseudo-count"):
+            fit(data, pseudo_count=bad)
+
+    @pytest.mark.parametrize("good", [0, 2, 0.5, Fraction(1, 2), np.float64(0.5)])
+    def test_accepted(self, good):
+        res = fit_alpha_mle(*_binary_fit(), pseudo_count=good)
+        assert res.converged and res.stop_reason == "ll-tol"
+        want = math.log((60 + float(good)) / (30 + float(good)))
+        assert res.alpha_hat["b"] == pytest.approx(want, abs=1e-8)
