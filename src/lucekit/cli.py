@@ -24,6 +24,7 @@ from .core import (
     RandomChoiceRule,
     Universe,
     WeakOrder,
+    check_eps,
 )
 from .decompose import decompose as run_decompose
 from .documents import (
@@ -55,7 +56,10 @@ _ALL_AXIOMS = tuple(a.value for a in Axiom if a != Axiom.WARP) + (Axiom.WARP.val
 
 
 def _emit(args: argparse.Namespace, obj: Any, *, kind: str | None = None) -> None:
-    text = dumps_document(obj, kind=kind)
+    try:
+        text = dumps_document(obj, kind=kind)
+    except (ValueError, TypeError) as exc:
+        raise DocumentError(f"cannot encode the output: {exc}") from exc
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -112,6 +116,11 @@ def _load_family(spec: str, universe: Universe) -> ChoiceFamily:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.eps is not None:
+        try:
+            check_eps(args.eps)
+        except ValueError as exc:
+            raise DocumentError(f"bad --eps: {exc}") from exc
     rule = _load_typed(args.rule, RandomChoiceRule, "rule")
     if args.mode == FLOAT and rule.mode == EXACT:
         rule = rule.as_float(args.eps)

@@ -29,6 +29,25 @@ DEFAULT_EPS = 1e-9
 MAX_ENUM_UNIVERSE = 16
 
 
+def check_eps(eps: float) -> float:
+    """Return ``eps`` if it is a usable float tolerance, else raise ``ValueError``."""
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
+    return eps
+
+
+def within_tolerance(lhs, rhs, eps: float):
+    """Float-mode equality: ``|lhs - rhs| <= eps * (1 + |lhs| + |rhs|)``.
+
+    Every tolerant equality test of the package goes through here. The same
+    expression works elementwise on numpy arrays with the same operations in
+    the same order, so an array verdict equals the scalar one bit for bit.
+    (A row's sum is checked against ``eps * |A|`` instead, in
+    :class:`RandomChoiceRule`.)
+    """
+    return abs(lhs - rhs) <= eps * (1.0 + abs(lhs) + abs(rhs))
+
+
 @dataclass(frozen=True)
 class Universe:
     """Finite set of alternatives, stored in lexicographic label order."""
@@ -207,8 +226,7 @@ class RandomChoiceRule:
     ) -> None:
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-        if not (eps > 0.0 and math.isfinite(eps)):
-            raise ValueError("eps must be positive and finite")
+        check_eps(eps)
         extra = set(table) - set(family.sets)
         if extra:
             raise ValueError(f"table rows for sets outside the family: {sorted(map(repr, extra))}")

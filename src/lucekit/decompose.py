@@ -29,6 +29,7 @@ from .core import (
     WeakOrder,
     maximizers,
     support_correspondence,
+    within_tolerance,
 )
 from .errors import (
     DegenerateOddsError,
@@ -168,7 +169,7 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
             if rule.mode == EXACT:
                 ok = got == want
             else:
-                ok = abs(float(got) - want) <= tol * (1.0 + abs(float(got)) + abs(want))
+                ok = within_tolerance(float(got), want, tol)
             if not ok:
                 raise ReconstructionMismatchError(
                     f"rebuilt rule disagrees at ({a!r}, {A}): {got} vs {want}"

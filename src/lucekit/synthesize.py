@@ -167,11 +167,13 @@ def lambda_smoothed_rule(
     """
     if family.universe != weights.universe:
         raise ValueError("weights and family must share a universe")
-    if not (float(lam) > 0.0):
-        raise ValueError(f"noise level must be positive, got {lam!r}")
+    if not (float(lam) > 0.0 and math.isfinite(lam)):
+        raise ValueError(f"noise level λ must be positive and finite, got {lam!r}")
     lam = float(lam)
     util = _validate_utility(family.universe, u)
     scores = {a: util[a] / lam + weights.alpha[a] for a in family.universe}
+    if not all(map(math.isfinite, scores.values())):
+        raise ValueError(f"noise level λ={lam!r} is too small: u/λ overflows")
     table: dict[ChoiceSet, dict[str, float]] = {}
     for A in family:
         top = max(scores[a] for a in A)

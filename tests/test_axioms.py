@@ -241,6 +241,18 @@ class TestFloatDetection:
         assert check_choice_axiom(drifted, eps=1e-6).holds
         assert not check_choice_axiom(drifted, eps=1e-12).holds
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_bad_eps_override_is_refused(self, eps):
+        rule = helpers.random_synthesized_rule(3, random.Random(2))
+        for subject in (rule, rule.as_float()):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                check_all(subject, eps=eps)
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                check_set_choice_axiom(subject, eps=eps)
+        witness = check_all(bad_rule())[Axiom.CHOICE_AXIOM].witnesses[0]
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            replay_witness(bad_rule().as_float(), witness, eps=eps)
+
 
 class TestConditioningMatchesFactorization:
     @settings(max_examples=80, deadline=None)

@@ -9,9 +9,10 @@ verdict, violation count, witnesses in the same order, and instance count.
 """
 
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lucekit import (
@@ -20,6 +21,8 @@ from lucekit import (
     ChoiceFamily,
     ChoiceSet,
     FamilySizeError,
+    RandomChoiceRule,
+    WITNESS_CAP,
     check_all,
     check_choice_axiom,
     check_full_support,
@@ -70,10 +73,10 @@ def encoded(reports, rule=None) -> str:
     return dumps_document(payload, kind="report")
 
 
-def outcome(checker, *args):
+def outcome(checker, rule, eps=None):
     """Encoded report, or the size refusal's message."""
     try:
-        return encoded([checker(*args)])
+        return encoded([checker(rule) if eps is None else checker(rule, eps=eps)])
     except FamilySizeError as exc:
         return f"FamilySizeError: {exc}"
 
@@ -187,6 +190,133 @@ class TestMatchesOracle:
         ours, reference = check_all(rule), oracle.check_all(rule)
         assert not ours[Axiom.SET_INTERSECTION_RULE].holds
         assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+
+PAIR_CHECKERS = [
+    Axiom.CHOICE_AXIOM,
+    Axiom.PRODUCT_RULE,
+    Axiom.SET_CHOICE_AXIOM,
+    Axiom.SET_INTERSECTION_RULE,
+    Axiom.RENYI_CONDITIONING,
+]
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _float(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def flip_point(fails, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent positive floats lo < hi with ``fails(lo)`` false and ``fails(hi)`` true."""
+    blo, bhi = _bits(lo), _bits(hi)
+    while bhi - blo > 1:
+        mid = (blo + bhi) // 2
+        if fails(_float(mid)):
+            bhi = mid
+        else:
+            blo = mid
+    return _float(blo), _float(bhi)
+
+
+def nested_float_rule(rng: random.Random, eps: float):
+    """A float Luce rule on a few nested menus of 9-10 alternatives.
+
+    The outer menu A is the whole universe and B ⊂ A has 8 or 9 members, so
+    the mass p(B, A) sums at least 8 terms (where a pairwise sum would round
+    differently from a left-to-right one). Returns the rule, A, B.
+    """
+    universe = helpers.universe_of(rng.randint(9, 10))
+    A = ChoiceSet(universe.alternatives)
+    B = ChoiceSet(rng.sample(universe.alternatives, rng.randint(8, len(universe) - 1)))
+    C = ChoiceSet(rng.sample(B.members, rng.randint(2, 4)))
+    pair = ChoiceSet(rng.sample(universe.alternatives, 2))
+    family = ChoiceFamily(universe, {A, B, C, pair})
+    rule = luce_rule(helpers.random_rational_weights(universe, rng), family)
+    return rule.as_float(eps), A, B
+
+
+def with_cell(rule, A, x, y, v):
+    """``rule`` with p(x, A) set to v and p(y, A) taking up the difference."""
+    table = {S: dict(rule.row(S)) for S in rule.family}
+    table[A][y] = table[A][x] + table[A][y] - v
+    table[A][x] = v
+    return RandomChoiceRule(rule.family, table, mode="float", eps=rule.eps)
+
+
+def random_float_rule(rng: random.Random, family: ChoiceFamily, eps: float):
+    """Independent random rows (some cells zero): most identities fail."""
+    table = {}
+    for A in family:
+        weights = {a: rng.random() if rng.random() < 0.85 else 0.0 for a in A}
+        weights[rng.choice(A.members)] = rng.random() + 0.1
+        total = sum(weights.values())
+        table[A] = {a: w / total for a, w in weights.items()}
+    return RandomChoiceRule(family, table, mode="float", eps=eps)
+
+
+class TestFloatPass:
+    """The float array pass against the scalar full scan of ``oracle_axioms``."""
+
+    @pytest.mark.parametrize("axiom", PAIR_CHECKERS)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        eps=st.sampled_from([1e-9, 1e-7, 1e-3]),
+    )
+    def test_one_ulp_around_the_tolerance_boundary(self, axiom, seed, eps):
+        rng = random.Random(seed)
+        rule, A, B = nested_float_rule(rng, eps)
+        x = rng.choice(B.members)
+        y = max((a for a in A if a != x), key=lambda a: rule.p(a, A))
+        checker, reference = RULE_CHECKERS[axiom]
+        v0 = rule.p(x, A)
+        hi = v0 + 0.9 * rule.p(y, A)
+        fails = lambda v: not reference(with_cell(rule, A, x, y, v)).holds
+        assert not fails(v0)
+        assume(fails(hi))
+        lo, hi = flip_point(fails, v0, hi)
+        for v in (_float(_bits(lo) - 1), lo, hi, _float(_bits(hi) + 1)):
+            moved = with_cell(rule, A, x, y, v)
+            assert outcome(checker, moved) == outcome(reference, moved), v
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        eps=st.sampled_from([1e-9, 1e-7, 1e-3]),
+    )
+    def test_many_violations_past_the_witness_cap(self, seed, eps):
+        rng = random.Random(seed)
+        family = ChoiceFamily.of_all_subsets(helpers.universe_of(rng.randint(5, 6)))
+        rule = random_float_rule(rng, family, eps)
+        ours, reference = check_all(rule), oracle.check_all(rule)
+        over_cap = [a for a, r in reference.items() if r.violation_count > WITNESS_CAP]
+        assert len(over_cap) >= 3
+        assert encoded(list(ours.values()), rule) == encoded(list(reference.values()), rule)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        kind=st.sampled_from(sorted(FAMILIES)),
+        eps=st.sampled_from([1e-7, 1e-3]),
+        noisy=st.booleans(),
+    )
+    def test_eps_override_on_every_family(self, seed, kind, eps, noisy):
+        rng = random.Random(seed)
+        family = FAMILIES[kind](rng)
+        if noisy and not kind.startswith("wide"):
+            # (On wide families the oracle's 2^|X| set-intersection scan of
+            # every failing pair would take minutes.)
+            rule = random_float_rule(rng, family, 1e-9)
+        else:
+            rule = make_rule(rng, family, rng.random() < 0.5, True).as_float()
+        for axiom, (checker, reference) in RULE_CHECKERS.items():
+            assert outcome(checker, rule, eps) == outcome(reference, rule, eps), axiom
+        if not kind.startswith("wide"):  # check_all needs |X| <= MAX_ENUM_UNIVERSE
+            ours, reference = check_all(rule, eps=eps), oracle.check_all(rule, eps=eps)
+            assert encoded(list(ours.values())) == encoded(list(reference.values()))
 
 
 class TestWarpMatchesOracle:

@@ -136,6 +136,16 @@ class TestCheck:
         code, _, err = run(["check", float_path, "--mode", "exact"], capsys)
         assert code == 2 and "promoted" in err
 
+    @pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("mode", [None, "exact", "float"])
+    def test_bad_eps_is_usage_error(self, work, capsys, eps, mode):
+        argv = ["check", synth(work, capsys), f"--eps={eps}"]
+        if mode:
+            argv += ["--mode", mode]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("lucekit: bad --eps") and err.count("\n") == 1
+
     def test_missing_file_is_usage_error(self, work, capsys):
         code, _, err = run(["check", work["dir"] / "absent.json"], capsys)
         assert code == 2 and "cannot read" in err
@@ -364,6 +374,36 @@ class TestLimit:
                 capsys,
             )
             assert code == 2, schedule
+
+    @pytest.mark.parametrize("schedule", ["inf,1,0.5", "1,1e-320"])
+    def test_infinite_or_overflowing_lambda_is_usage_error(self, work, capsys, schedule):
+        code, out, err = run(
+            ["limit", "--utility", work["utility"], "--weights", work["weights"],
+             "--schedule", schedule],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("lucekit: ") and err.count("\n") == 1 and "λ" in err
+
+
+class TestEncodeErrors:
+    @pytest.mark.parametrize("exc", [ValueError, TypeError])
+    def test_encoder_failure_exits_two_without_output_file(
+        self, work, capsys, monkeypatch, exc
+    ):
+        def refuse(obj, kind=None):
+            raise exc("Out of range float values are not JSON compliant")
+
+        monkeypatch.setattr("lucekit.cli.dumps_document", refuse)
+        out_path = work["dir"] / "rule.json"
+        code, out, err = run(
+            ["synthesize", "--weights", work["weights"], "--gamma", work["gamma"],
+             "--out", out_path],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("lucekit: cannot encode") and err.count("\n") == 1
+        assert not out_path.exists()
 
 
 class TestUsage:

@@ -181,6 +181,18 @@ class TestSmoothedRule:
         with pytest.raises(ValueError):
             lambda_smoothed_rule(util, w, -1.0, fam)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan, 1e-320])
+    def test_rejects_infinite_nan_or_overflowing_lambda_naming_it(self, lam):
+        _, util, w, fam = self._setup()
+        with pytest.raises(ValueError, match="λ"):
+            lambda_smoothed_rule(util, w, lam, fam)
+
+    @pytest.mark.parametrize("schedule", [(math.inf, 1.0, 0.5), (1.0, 1e-320)])
+    def test_limit_check_names_a_bad_lambda(self, schedule):
+        _, util, w, fam = self._setup()
+        with pytest.raises(ValueError, match="λ"):
+            limit_check(util, w, schedule, fam)
+
 
 class TestLimitCheck:
     def _setup(self):
