@@ -11,7 +11,6 @@ invocations with the same arguments produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any
 
@@ -28,11 +27,14 @@ from .core import (
 )
 from .decompose import decompose as run_decompose
 from .documents import (
+    _build,
+    _decode_set,
+    _parse,
+    _read_text,
     dumps_document,
     encode_axiom_report,
-    loads_document,
+    from_document,
     read_document,
-    to_document,
 )
 from .errors import (
     ChoiceAxiomError,
@@ -88,31 +90,15 @@ def _load_family(spec: str, universe: Universe) -> ChoiceFamily:
         return ChoiceFamily.of_all_subsets(universe)
     if spec == "pairs":
         return ChoiceFamily.of_pairs(universe)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read family from {spec}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{spec} is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict):
-        obj = loads_document(text)
-        family = getattr(obj, "family", None)
-        if isinstance(family, ChoiceFamily):
-            if family.universe != universe:
-                raise DocumentError(f"family in {spec} is over a different universe")
-            return family
-        raise DocumentError(f"{spec} carries no choice-set family")
+    raw = _parse(_read_text(spec))
     if isinstance(raw, list):
-        try:
-            from .core import ChoiceSet
-
-            return ChoiceFamily(universe, [ChoiceSet(s) for s in raw])
-        except (ValueError, TypeError) as exc:
-            raise DocumentError(f"bad family list in {spec}: {exc}") from exc
-    raise DocumentError(f"{spec} must hold a document or a JSON list of sets")
+        return _build(ChoiceFamily, universe, [_decode_set(s) for s in raw])
+    family = getattr(from_document(raw), "family", None)
+    if not isinstance(family, ChoiceFamily):
+        raise DocumentError(f"{spec} carries no choice-set family")
+    if family.universe != universe:
+        raise DocumentError(f"family in {spec} is over a different universe")
+    return family
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -192,6 +178,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             rule = luce_rule(weights, family)
     except NotRationalError as exc:
         return _emit_error(args, "not-rational", exc)
+    except ValueError as exc:  # weights, selection and family disagree
+        raise DocumentError(str(exc)) from exc
     if args.mode == FLOAT and rule.mode == EXACT:
         rule = rule.as_float()
     _emit(args, rule)
@@ -199,26 +187,27 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.draws < 1:
+        raise DocumentError("--draws must be at least 1")
+    if args.seed < 0:
+        raise DocumentError("--seed must be nonnegative")
     weights = _load_typed(args.weights, LuceWeights, "weights")
     universe = weights.universe
     if args.sampler in ("independent", "lex"):
         if not args.utility:
             raise DocumentError(f"--sampler {args.sampler} needs --utility")
         u = _load_typed(args.utility, dict, "utility")
-    if args.sampler == "gumbel":
-        sampler = GumbelLuceSampler(weights, seed=args.seed)
-    elif args.sampler == "independent":
-        sampler = IndependentRumSampler(u, weights, seed=args.seed)
-    else:
-        base = GumbelLuceSampler(weights, seed=args.seed)
-        try:
-            order = WeakOrder.from_utility(universe, {k: float(x) for k, x in u.items()})
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
-        sampler = LexSampler(order, base)
+    try:
+        if args.sampler == "gumbel":
+            sampler = GumbelLuceSampler(weights, seed=args.seed)
+        elif args.sampler == "independent":
+            sampler = IndependentRumSampler(u, weights, seed=args.seed)
+        else:
+            order = WeakOrder.from_utility(universe, u)
+            sampler = LexSampler(order, GumbelLuceSampler(weights, seed=args.seed))
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
     family = _load_family(args.family, universe)
-    if args.draws < 1:
-        raise DocumentError("--draws must be at least 1")
     emp = empirical_rule(sampler, family, args.draws)
     _emit(args, ChoiceDataset(universe, emp.counts))
     return 0

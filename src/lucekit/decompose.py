@@ -37,7 +37,7 @@ from .errors import (
     NotRationalError,
     ReconstructionMismatchError,
 )
-from .synthesize import LuceWeights, general_luce_rule
+from .synthesize import LuceWeights, _share_rows
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,12 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
             )
     v = recover_v(rule, order)
     weights = LuceWeights(rule.universe, v)
-    rebuilt = general_luce_rule(gamma, weights)
     tol = 0.0 if rule.mode == EXACT else rule.eps
     for A in rule.family:
+        # revealed_order checked Γ for WARP; these are general_luce_rule(Γ, v)'s rows.
+        rebuilt = _share_rows(weights, A, set(gamma.gamma(A).members))
         for a in A:
-            got, want = rebuilt.p(a, A), rule.p(a, A)
+            got, want = rebuilt[a], rule.p(a, A)
             if rule.mode == EXACT:
                 ok = got == want
             else:

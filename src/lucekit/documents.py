@@ -6,15 +6,20 @@ probabilities travel as ``"num/den"`` strings so parsing reproduces the same
 rationals bit for bit; floats travel as JSON numbers (shortest round-trip
 decimals). Serialization is canonical: sorted keys, two-space indent,
 trailing newline, so identical values produce identical bytes.
+
+Decoding checks the shape of every value it reads (object, list, string,
+number) and hands the rest to the constructors' own validation, so any
+malformed document raises :class:`DocumentError` and nothing else.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .axioms import Axiom, AxiomReport, Witness
 from .core import (
@@ -36,15 +41,60 @@ from .synthesize import LimitReport, LuceWeights
 
 DOCUMENT_VERSION = "1"
 
-KINDS = (
-    "rule",
-    "correspondence",
-    "weights",
-    "utility",
-    "dataset",
-    "report",
-    "decomposition",
-)
+_FLOAT_MAX = sys.float_info.max
+
+_JSON_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string",
+               int: "an integer", bool: "true or false"}
+
+
+def _build(ctor, *args, **kwargs):
+    """``ctor(*args, **kwargs)``, its ``ValueError``/``TypeError`` as ``DocumentError``."""
+    try:
+        return ctor(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise DocumentError(str(exc)) from exc
+
+
+def _refuse(raw: Any, expected: str, what: str, args: tuple) -> DocumentError:
+    # Checks name the value as what.format(*args), formatted only here, on
+    # failure, so that decoding a valid table formats no messages.
+    return DocumentError(f"{what.format(*args)} must be {expected}, got {reprlib.repr(raw)}")
+
+
+def _shape(raw: Any, kind: type, what: str, *args: Any) -> Any:
+    """``raw`` if it is of JSON type ``kind`` (a bool is not an integer)."""
+    if isinstance(raw, kind) and (kind is bool or not isinstance(raw, bool)):
+        return raw
+    raise _refuse(raw, _JSON_NAMES[kind], what, args)
+
+
+def _strings(raw: Any, what: str) -> list[str]:
+    if not all(isinstance(a, str) for a in _shape(raw, list, what)):
+        raise _refuse(raw, "a list of strings", what, ())
+    return raw
+
+
+def _number(raw: Any, what: str, *args: Any) -> float:
+    # abs(raw) <= the largest float refuses NaN, infinities and huge ints.
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= _FLOAT_MAX:
+        return float(raw)
+    raise _refuse(raw, "a finite number", what, args)
+
+
+def _numbers(payload: dict, key: str, what: str) -> tuple[float, ...]:
+    name = f"{what} {key!r}"
+    return tuple(_number(x, "entry of {}", name) for x in _shape(payload.get(key, []), list, name))
+
+
+def _rows(payload: dict, key: str, what: str) -> Iterator[tuple[ChoiceSet, dict]]:
+    """Each object in the list ``payload[key]`` with its decoded ``"set"``; no set twice."""
+    seen: set[ChoiceSet] = set()
+    for row in _shape(payload.get(key), list, what):
+        A = _decode_set(_shape(row, dict, "row of {}", what).get("set"))
+        if A in seen:
+            raise DocumentError(f"duplicate row for {A}")
+        seen.add(A)
+        yield A, row
 
 
 def _encode_value(v: Value | ExtendedRatio | None) -> Any:
@@ -60,51 +110,43 @@ def _encode_value(v: Value | ExtendedRatio | None) -> Any:
     return float(v)
 
 
-def _decode_value(raw: Any) -> Value | ExtendedRatio | None:
-    if raw is None:
-        return None
+def _decode_scalar(raw: Any, what: str, *args: Any) -> Value:
+    """A rational string as a Fraction, a finite JSON number as a float."""
     if isinstance(raw, str):
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"bad rational literal {raw!r}") from exc
+            raise DocumentError(f"bad rational literal {reprlib.repr(raw)}") from exc
+    # _number's test, inline: this runs once per table cell.
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= _FLOAT_MAX:
+        return float(raw)
+    raise _refuse(raw, "a rational string or a finite number", what, args)
+
+
+def _decode_value(raw: Any, what: str) -> Value | ExtendedRatio | None:
+    if raw is None:
+        return None
     if isinstance(raw, dict):
         kind = raw.get("ratio")
         if kind == ExtendedRatio.FINITE:
-            return ExtendedRatio(kind, _decode_value(raw.get("value")))
+            return ExtendedRatio(kind, _decode_scalar(raw.get("value"), what))
         if kind in (ExtendedRatio.INFINITE, ExtendedRatio.INDETERMINATE):
             return ExtendedRatio(kind)
-        raise DocumentError(f"bad ratio tag {raw!r}")
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return float(raw)
-    raise DocumentError(f"cannot decode value {raw!r}")
+        raise DocumentError(f"bad ratio tag {reprlib.repr(raw)}")
+    return _decode_scalar(raw, what)
 
 
-def _encode_universe(universe: Universe) -> list[str]:
-    return list(universe.alternatives)
-
-
-def _decode_universe(raw: Any) -> Universe:
-    if not isinstance(raw, list) or not all(isinstance(a, str) for a in raw):
-        raise DocumentError("universe must be a list of strings")
-    try:
-        return Universe(raw)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+def _decode_universe(payload: dict) -> Universe:
+    return _build(Universe, _strings(payload.get("universe"), "universe"))
 
 
 def _decode_set(raw: Any) -> ChoiceSet:
-    if not isinstance(raw, list) or not all(isinstance(a, str) for a in raw):
-        raise DocumentError(f"choice set must be a list of strings, got {raw!r}")
-    try:
-        return ChoiceSet(raw)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    return _build(ChoiceSet, _strings(raw, "choice set"))
 
 
 def _rule_payload(rule: RandomChoiceRule) -> dict:
     payload: dict[str, Any] = {
-        "universe": _encode_universe(rule.universe),
+        "universe": list(rule.universe.alternatives),
         "mode": rule.mode,
         "table": [
             {
@@ -120,48 +162,27 @@ def _rule_payload(rule: RandomChoiceRule) -> dict:
 
 
 def _decode_rule(payload: dict) -> RandomChoiceRule:
-    universe = _decode_universe(payload.get("universe"))
+    universe = _decode_universe(payload)
     mode = payload.get("mode")
     if mode not in (EXACT, FLOAT):
-        raise DocumentError(f"rule mode must be 'exact' or 'float', got {mode!r}")
-    rows = payload.get("table")
-    if not isinstance(rows, list):
-        raise DocumentError("rule table must be a list of rows")
+        raise DocumentError(f"rule mode must be 'exact' or 'float', got {reprlib.repr(mode)}")
     table: dict[ChoiceSet, dict[str, Value]] = {}
-    for row in rows:
-        A = _decode_set(row.get("set"))
-        probs = row.get("p")
-        if not isinstance(probs, dict):
-            raise DocumentError(f"row for {A} lacks probabilities")
+    for A, row in _rows(payload, "table", "rule table"):
         decoded: dict[str, Value] = {}
-        for a, raw in probs.items():
-            v = _decode_value(raw)
+        for a, raw in _shape(row.get("p"), dict, "probabilities of {}", A).items():
+            v = _decode_scalar(raw, "probability of {!r} in {}", a, A)
             if mode == EXACT and not isinstance(v, Fraction):
                 raise DocumentError(f"exact rule has non-rational entry at ({a!r}, {A})")
             decoded[a] = v
-        if A in table:
-            raise DocumentError(f"duplicate row for {A}")
         table[A] = decoded
-    family = _decode_family(universe, table.keys())
-    kwargs: dict[str, Any] = {}
-    try:
-        if "eps" in payload:
-            kwargs["eps"] = float(payload["eps"])
-        return RandomChoiceRule(family, table, mode=mode, **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise DocumentError(str(exc)) from exc
-
-
-def _decode_family(universe: Universe, sets) -> ChoiceFamily:
-    try:
-        return ChoiceFamily(universe, sets)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    kwargs = {"eps": _number(payload["eps"], "rule eps")} if "eps" in payload else {}
+    family = _build(ChoiceFamily, universe, table)
+    return _build(RandomChoiceRule, family, table, mode=mode, **kwargs)
 
 
 def _correspondence_payload(corr: ChoiceCorrespondence) -> dict:
     return {
-        "universe": _encode_universe(corr.universe),
+        "universe": list(corr.universe.alternatives),
         "table": [
             {"set": list(A.members), "chosen": list(corr.gamma(A).members)}
             for A in corr.family
@@ -170,41 +191,28 @@ def _correspondence_payload(corr: ChoiceCorrespondence) -> dict:
 
 
 def _decode_correspondence(payload: dict) -> ChoiceCorrespondence:
-    universe = _decode_universe(payload.get("universe"))
-    rows = payload.get("table")
-    if not isinstance(rows, list):
-        raise DocumentError("correspondence table must be a list of rows")
-    table = {}
-    for row in rows:
-        A = _decode_set(row.get("set"))
-        if A in table:
-            raise DocumentError(f"duplicate row for {A}")
-        table[A] = _decode_set(row.get("chosen"))
-    family = _decode_family(universe, table.keys())
-    try:
-        return ChoiceCorrespondence(family, table)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    universe = _decode_universe(payload)
+    table = {
+        A: _decode_set(row.get("chosen"))
+        for A, row in _rows(payload, "table", "correspondence table")
+    }
+    return _build(ChoiceCorrespondence, _build(ChoiceFamily, universe, table), table)
 
 
 def _weights_payload(weights: LuceWeights) -> dict:
     return {
-        "universe": _encode_universe(weights.universe),
+        "universe": list(weights.universe.alternatives),
         "mode": weights.mode,
         "v": {a: _encode_value(weights.v[a]) for a in weights.universe},
     }
 
 
 def _decode_weights(payload: dict) -> LuceWeights:
-    universe = _decode_universe(payload.get("universe"))
-    raw = payload.get("v")
-    if not isinstance(raw, dict):
-        raise DocumentError("weights payload needs a 'v' mapping")
-    v = {a: _decode_value(x) for a, x in raw.items()}
-    try:
-        return LuceWeights(universe, v)
-    except (ValueError, TypeError) as exc:
-        raise DocumentError(str(exc)) from exc
+    universe = _decode_universe(payload)
+    v = _shape(payload.get("v"), dict, "weights 'v'")
+    return _build(
+        LuceWeights, universe, {a: _decode_scalar(x, "weight for {!r}", a) for a, x in v.items()}
+    )
 
 
 def _utility_payload(u: Mapping[str, float]) -> dict:
@@ -212,21 +220,15 @@ def _utility_payload(u: Mapping[str, float]) -> dict:
 
 
 def _decode_utility(payload: dict) -> dict[str, float]:
-    raw = payload.get("u")
-    if not isinstance(raw, dict) or not raw:
+    u = _shape(payload.get("u"), dict, "utility 'u'")
+    if not u:
         raise DocumentError("utility payload needs a nonempty 'u' mapping")
-    out = {}
-    for a, x in raw.items():
-        # abs(x) <= the largest float refuses NaN, infinities and huge ints.
-        if not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= sys.float_info.max:
-            raise DocumentError(f"utility for {a!r} must be a finite number")
-        out[a] = float(x)
-    return out
+    return {a: _number(x, "utility for {!r}", a) for a, x in u.items()}
 
 
 def _dataset_payload(data: ChoiceDataset) -> dict:
     return {
-        "universe": _encode_universe(data.universe),
+        "universe": list(data.universe.alternatives),
         "observations": [
             {
                 "set": list(A.members),
@@ -238,26 +240,12 @@ def _dataset_payload(data: ChoiceDataset) -> dict:
 
 
 def _decode_dataset(payload: dict) -> ChoiceDataset:
-    universe = _decode_universe(payload.get("universe"))
-    rows = payload.get("observations")
-    if not isinstance(rows, list):
-        raise DocumentError("dataset observations must be a list of rows")
-    obs: dict[ChoiceSet, dict[str, int]] = {}
-    for row in rows:
-        A = _decode_set(row.get("set"))
-        counts = row.get("counts")
-        if not isinstance(counts, dict):
-            raise DocumentError(f"row for {A} lacks counts")
-        for a, c in counts.items():
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise DocumentError(f"count for {a!r} in {A} must be an integer")
-        if A in obs:
-            raise DocumentError(f"duplicate observations for {A}")
-        obs[A] = dict(counts)
-    try:
-        return ChoiceDataset(universe, obs)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    universe = _decode_universe(payload)
+    obs = {
+        A: _shape(row.get("counts"), dict, "counts of {}", A)
+        for A, row in _rows(payload, "observations", "dataset observations")
+    }
+    return _build(ChoiceDataset, universe, obs)
 
 
 def encode_witness(w: Witness) -> dict:
@@ -272,22 +260,14 @@ def encode_witness(w: Witness) -> dict:
 
 
 def decode_witness(raw: Any) -> Witness:
-    if not isinstance(raw, dict):
-        raise DocumentError("witness must be an object")
-    try:
-        axiom = Axiom(raw.get("axiom"))
-    except ValueError as exc:
-        raise DocumentError(f"unknown axiom {raw.get('axiom')!r}") from exc
-    sets = raw.get("sets")
-    if not isinstance(sets, list):
-        raise DocumentError("witness sets must be a list")
+    raw = _shape(raw, dict, "witness")
     return Witness(
-        axiom=axiom,
-        sets=tuple(_decode_set(s) for s in sets),
-        elements=tuple(raw.get("elements") or ()),
-        lhs=_decode_value(raw.get("lhs")),
-        rhs=_decode_value(raw.get("rhs")),
-        detail=raw.get("detail") or "",
+        axiom=_build(Axiom, raw.get("axiom")),
+        sets=tuple(_decode_set(s) for s in _shape(raw.get("sets"), list, "witness sets")),
+        elements=tuple(_strings(raw.get("elements", []), "witness elements")),
+        lhs=_decode_value(raw.get("lhs"), "witness lhs"),
+        rhs=_decode_value(raw.get("rhs"), "witness rhs"),
+        detail=_shape(raw.get("detail", ""), str, "witness detail"),
     )
 
 
@@ -304,28 +284,23 @@ def encode_axiom_report(report: AxiomReport) -> dict:
 
 
 def decode_axiom_report(raw: Any) -> AxiomReport:
-    if not isinstance(raw, dict):
-        raise DocumentError("axiom report must be an object")
-    try:
-        axiom = Axiom(raw.get("axiom"))
-    except ValueError as exc:
-        raise DocumentError(f"unknown axiom {raw.get('axiom')!r}") from exc
-    try:
-        return AxiomReport(
-            axiom=axiom,
-            holds=bool(raw["holds"]),
-            witnesses=tuple(decode_witness(w) for w in raw.get("witnesses", ())),
-            violation_count=int(raw["violation_count"]),
-            pairs_checked=int(raw["pairs_checked"]),
-            family_complete=bool(raw["family_complete"]),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DocumentError(f"bad axiom report: {exc}") from exc
+    raw = _shape(raw, dict, "axiom report")
+    kinds = {"holds": bool, "violation_count": int, "pairs_checked": int, "family_complete": bool}
+    fields = {
+        key: _shape(raw.get(key), kind, "axiom report {!r}", key) for key, kind in kinds.items()
+    }
+    witnesses = _shape(raw.get("witnesses", []), list, "axiom report 'witnesses'")
+    return _build(
+        AxiomReport,
+        axiom=_build(Axiom, raw.get("axiom")),
+        witnesses=tuple(decode_witness(w) for w in witnesses),
+        **fields,
+    )
 
 
 def _decomposition_payload(dec: LuceDecomposition) -> dict:
     return {
-        "universe": _encode_universe(dec.universe),
+        "universe": list(dec.universe.alternatives),
         "gamma": _correspondence_payload(dec.gamma),
         "classes": [list(group) for group in dec.classes],
         "representatives": list(dec.representatives),
@@ -336,26 +311,22 @@ def _decomposition_payload(dec: LuceDecomposition) -> dict:
 
 
 def _decode_decomposition(payload: dict) -> LuceDecomposition:
-    gamma = _decode_correspondence(payload.get("gamma") or {})
-    classes_raw = payload.get("classes")
-    if not isinstance(classes_raw, list):
-        raise DocumentError("decomposition needs a 'classes' list")
-    classes = tuple(tuple(group) for group in classes_raw)
-    try:
-        order = WeakOrder.from_classes(gamma.universe, classes)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    v_raw = payload.get("v")
-    alpha_raw = payload.get("alpha")
-    if not isinstance(v_raw, dict) or not isinstance(alpha_raw, dict):
-        raise DocumentError("decomposition needs 'v' and 'alpha' mappings")
+    gamma = _decode_correspondence(_shape(payload.get("gamma"), dict, "decomposition 'gamma'"))
+    classes = tuple(
+        tuple(_strings(group, "decomposition class"))
+        for group in _shape(payload.get("classes"), list, "decomposition 'classes'")
+    )
+    v = _shape(payload.get("v"), dict, "decomposition 'v'")
+    alpha = _shape(payload.get("alpha"), dict, "decomposition 'alpha'")
+    if not set(v) == set(alpha) == set(gamma.universe.alternatives):
+        raise DocumentError("decomposition 'v' and 'alpha' must cover the universe")
     return LuceDecomposition(
         gamma=gamma,
-        order=order,
+        order=_build(WeakOrder.from_classes, gamma.universe, classes),
         classes=classes,
-        representatives=tuple(payload.get("representatives") or ()),
-        v={a: _decode_value(x) for a, x in v_raw.items()},
-        alpha={a: float(x) for a, x in alpha_raw.items()},
+        representatives=tuple(_strings(payload.get("representatives", []), "representatives")),
+        v={a: _decode_scalar(x, "weight for {!r}", a) for a, x in v.items()},
+        alpha={a: _number(x, "alpha for {!r}", a) for a, x in alpha.items()},
     )
 
 
@@ -383,17 +354,22 @@ def fit_result_payload(result: FitResult) -> dict:
 def _decode_fit_result(payload: dict) -> FitResult:
     alpha = payload.get("alpha_hat")
     ll = payload.get("log_likelihood")
+    stop = payload.get("stop_reason")
+    components = _shape(payload.get("components", []), list, "fit 'components'")
     return FitResult(
-        gamma_hat=_decode_correspondence(payload.get("gamma_hat") or {}),
-        alpha_hat=None if alpha is None else {a: float(x) for a, x in alpha.items()},
-        log_likelihood=float("nan") if ll is None else float(ll),
-        converged=bool(payload["converged"]),
+        gamma_hat=_decode_correspondence(_shape(payload.get("gamma_hat"), dict, "fit 'gamma_hat'")),
+        alpha_hat=None if alpha is None else {
+            a: _number(x, "alpha_hat for {!r}", a)
+            for a, x in _shape(alpha, dict, "fit 'alpha_hat'").items()
+        },
+        log_likelihood=math.nan if ll is None else _number(ll, "fit 'log_likelihood'"),
+        converged=_shape(payload.get("converged"), bool, "fit 'converged'"),
         warp_report=decode_axiom_report(payload.get("warp_report")),
-        separated=tuple(payload.get("separated") or ()),
-        components=tuple(tuple(c) for c in payload.get("components") or ()),
-        ll_path=tuple(float(x) for x in payload.get("ll_path") or ()),
-        iterations=int(payload.get("iterations") or 0),
-        stop_reason=payload.get("stop_reason"),
+        separated=tuple(_strings(payload.get("separated", []), "fit 'separated'")),
+        components=tuple(tuple(_strings(c, "fit component")) for c in components),
+        ll_path=_numbers(payload, "ll_path", "fit"),
+        iterations=_shape(payload.get("iterations", 0), int, "fit 'iterations'"),
+        stop_reason=None if stop is None else _shape(stop, str, "fit 'stop_reason'"),
     )
 
 
@@ -410,29 +386,56 @@ def limit_report_payload(report: LimitReport) -> dict:
 
 
 def _decode_limit_report(payload: dict) -> LimitReport:
-    try:
-        return LimitReport(
-            lambdas=tuple(float(x) for x in payload["lambdas"]),
-            distances=tuple(float(x) for x in payload["distances"]),
-            tolerance=float(payload["tolerance"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad limit report: {exc}") from exc
+    lambdas = _numbers(payload, "lambdas", "limit report")
+    distances = _numbers(payload, "distances", "limit report")
+    if not distances or len(distances) != len(lambdas):
+        raise DocumentError("limit report needs one distance per noise level")
+    tolerance = _number(payload.get("tolerance"), "limit report 'tolerance'")
+    return LimitReport(lambdas=lambdas, distances=distances, tolerance=tolerance)
+
+
+def _report_payload(obj: Any) -> dict:
+    if isinstance(obj, FitResult):
+        return fit_result_payload(obj)
+    if isinstance(obj, LimitReport):
+        return limit_report_payload(obj)
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise DocumentError("report payloads must be dicts with a 'type' field")
+    return obj
 
 
 def _decode_report(payload: dict) -> dict:
     kind = payload.get("type")
     if kind == "axioms":
-        out = dict(payload)
-        out["reports"] = [decode_axiom_report(r) for r in payload.get("reports", ())]
-        return out
+        reports = _shape(payload.get("reports", []), list, "axioms report 'reports'")
+        return {**payload, "reports": [decode_axiom_report(r) for r in reports]}
     if kind == "fit":
         return {"type": "fit", "result": _decode_fit_result(payload)}
     if kind == "limit":
         return {"type": "limit", "report": _decode_limit_report(payload)}
     if kind == "error":
         return dict(payload)
-    raise DocumentError(f"unknown report type {kind!r}")
+    raise DocumentError(f"unknown report type {reprlib.repr(kind)}")
+
+
+# kind -> (type that infers the kind, payload encoder, payload decoder). A
+# utility is a plain mapping, so it is encoded only when named explicitly.
+_CODECS = {
+    "rule": (RandomChoiceRule, _rule_payload, _decode_rule),
+    "correspondence": (ChoiceCorrespondence, _correspondence_payload, _decode_correspondence),
+    "weights": (LuceWeights, _weights_payload, _decode_weights),
+    "utility": ((), _utility_payload, _decode_utility),
+    "dataset": (ChoiceDataset, _dataset_payload, _decode_dataset),
+    "report": ((FitResult, LimitReport), _report_payload, _decode_report),
+    "decomposition": (LuceDecomposition, _decomposition_payload, _decode_decomposition),
+}
+KINDS = tuple(_CODECS)
+
+
+def _codec(kind: Any) -> tuple:
+    if kind not in KINDS:  # a tuple test, so an unhashable kind is refused too
+        raise DocumentError(f"unknown document kind {reprlib.repr(kind)}")
+    return _CODECS[kind]
 
 
 def to_document(obj: Any, *, kind: str | None = None) -> dict:
@@ -443,47 +446,11 @@ def to_document(obj: Any, *, kind: str | None = None) -> dict:
     its kind explicitly.
     """
     if kind is None:
-        if isinstance(obj, RandomChoiceRule):
-            kind = "rule"
-        elif isinstance(obj, ChoiceCorrespondence):
-            kind = "correspondence"
-        elif isinstance(obj, LuceWeights):
-            kind = "weights"
-        elif isinstance(obj, ChoiceDataset):
-            kind = "dataset"
-        elif isinstance(obj, LuceDecomposition):
-            kind = "decomposition"
-        elif isinstance(obj, FitResult):
-            kind = "report"
-            obj = fit_result_payload(obj)
-        elif isinstance(obj, LimitReport):
-            kind = "report"
-            obj = limit_report_payload(obj)
-        else:
+        kind = next((k for k, (cls, _, _) in _CODECS.items() if isinstance(obj, cls)), None)
+        if kind is None:
             raise DocumentError(f"cannot infer document kind for {type(obj).__name__}")
-    if kind == "rule":
-        payload = _rule_payload(obj)
-    elif kind == "correspondence":
-        payload = _correspondence_payload(obj)
-    elif kind == "weights":
-        payload = _weights_payload(obj)
-    elif kind == "utility":
-        payload = _utility_payload(obj)
-    elif kind == "dataset":
-        payload = _dataset_payload(obj)
-    elif kind == "decomposition":
-        payload = _decomposition_payload(obj)
-    elif kind == "report":
-        if isinstance(obj, FitResult):
-            obj = fit_result_payload(obj)
-        elif isinstance(obj, LimitReport):
-            obj = limit_report_payload(obj)
-        if not isinstance(obj, dict) or "type" not in obj:
-            raise DocumentError("report payloads must be dicts with a 'type' field")
-        payload = obj
-    else:
-        raise DocumentError(f"unknown document kind {kind!r}")
-    return {"kind": kind, "version": DOCUMENT_VERSION, "payload": payload}
+    _, encode, _ = _codec(kind)
+    return {"kind": kind, "version": DOCUMENT_VERSION, "payload": encode(obj)}
 
 
 def from_document(doc: Any) -> Any:
@@ -494,30 +461,12 @@ def from_document(doc: Any) -> Any:
     :class:`LuceDecomposition`, or, for reports, a dict holding the decoded
     objects under type-specific keys.
     """
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
-    kind = doc.get("kind")
+    doc = _shape(doc, dict, "document")
     version = doc.get("version")
     if version != DOCUMENT_VERSION:
-        raise DocumentError(f"unsupported document version {version!r}")
-    payload = doc.get("payload")
-    if not isinstance(payload, dict):
-        raise DocumentError("document payload must be an object")
-    if kind == "rule":
-        return _decode_rule(payload)
-    if kind == "correspondence":
-        return _decode_correspondence(payload)
-    if kind == "weights":
-        return _decode_weights(payload)
-    if kind == "utility":
-        return _decode_utility(payload)
-    if kind == "dataset":
-        return _decode_dataset(payload)
-    if kind == "decomposition":
-        return _decode_decomposition(payload)
-    if kind == "report":
-        return _decode_report(payload)
-    raise DocumentError(f"unknown document kind {kind!r}")
+        raise DocumentError(f"unsupported document version {reprlib.repr(version)}")
+    _, _, decode = _codec(doc.get("kind"))
+    return decode(_shape(doc.get("payload"), dict, "document payload"))
 
 
 def dumps_document(obj: Any, *, kind: str | None = None) -> str:
@@ -538,12 +487,16 @@ def _refuse_constant(name: str) -> None:
     raise DocumentError(f"non-finite number {name} in document")
 
 
-def loads_document(text: str) -> Any:
+def _parse(text: str) -> Any:
+    """The JSON value in ``text``; bare NaN/Infinity are refused."""
     try:
-        doc = json.loads(text, parse_constant=_refuse_constant)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_refuse_constant)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, over-long integers
         raise DocumentError(f"not valid JSON: {exc}") from exc
-    return from_document(doc)
+
+
+def loads_document(text: str) -> Any:
+    return from_document(_parse(text))
 
 
 def write_document(path: str, obj: Any, *, kind: str | None = None) -> None:
@@ -551,10 +504,13 @@ def write_document(path: str, obj: Any, *, kind: str | None = None) -> None:
         fh.write(dumps_document(obj, kind=kind))
 
 
-def read_document(path: str) -> Any:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    return loads_document(text)
+
+
+def read_document(path: str) -> Any:
+    return loads_document(_read_text(path))

@@ -216,9 +216,12 @@ def limit_check(
 ) -> LimitReport:
     """Measure sup-norm convergence of the smoothed rule to its λ → 0 target.
 
-    The schedule must be strictly decreasing and positive. The target is the
-    correspondence-form rule at gamma = argmax of ``u``.
+    The schedule must be strictly decreasing and positive, and the tolerance
+    finite and nonnegative. The target is the correspondence-form rule at
+    gamma = argmax of ``u``.
     """
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
     lams = tuple(float(x) for x in schedule)
     if not lams:
         raise ValueError("schedule must be nonempty")

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from lucekit.cli import main
 
 import helpers
 from test_axioms import bad_rule
+from test_documents import broken_document
 
 EQUIVALENTS_CSV = (
     "choice-axiom,odds-independence,product-rule,"
@@ -384,6 +387,112 @@ class TestLimit:
         )
         assert code == 2 and out == ""
         assert err.startswith("lucekit: ") and err.count("\n") == 1 and "λ" in err
+
+
+def _broken_file(work, name):
+    path = work["dir"] / f"{name}.json"
+    path.write_text(json.dumps(broken_document(name)))
+    return path
+
+
+def _short_utility(work):
+    path = work["dir"] / "short_utility.json"
+    write_document(str(path), {"a": 1.0, "b": 0.0}, kind="utility")
+    return path
+
+
+def _other_gamma(work):
+    u = Universe("ab")
+    path = work["dir"] / "other_gamma.json"
+    gamma = correspondence_from_order(WeakOrder.trivial(u), ChoiceFamily.of_all_subsets(u))
+    write_document(str(path), gamma)
+    return path
+
+
+def _binary_file(work):
+    path = work["dir"] / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+def _synth_family(name):
+    return lambda w: ["synthesize", "--weights", w["weights"], "--family", _broken_file(w, name)]
+
+
+def _limit_tolerance(value):
+    return lambda w: ["limit", "--utility", w["utility"], "--weights", w["weights"],
+                      f"--tolerance={value}"]
+
+
+# Inputs that used to end in a traceback: argv builder and a word the
+# one-line message must hold.
+MALFORMED_INPUTS = {
+    "rule-row": (lambda w: ["check", _broken_file(w, "rule-row")], "rule table"),
+    "correspondence-row": (
+        lambda w: ["synthesize", "--weights", w["weights"], "--gamma",
+                   _broken_file(w, "correspondence-row")],
+        "correspondence table",
+    ),
+    "dataset-row": (lambda w: ["fit", _broken_file(w, "dataset-row")], "dataset observations"),
+    "axioms-reports": (_synth_family("axioms-reports"), "'reports'"),
+    "decomposition-classes": (_synth_family("decomposition-classes"), "decomposition class"),
+    "fit-alpha-list": (_synth_family("fit-alpha-list"), "alpha_hat"),
+    "fit-no-converged": (_synth_family("fit-no-converged"), "converged"),
+    "weights-huge-int": (
+        lambda w: ["simulate", "--weights", _broken_file(w, "weights-huge-int"), "--draws", "5"],
+        "weight for 'a'",
+    ),
+    "negative-seed": (
+        lambda w: ["simulate", "--weights", w["weights"], "--draws", "5", "--seed", "-1"],
+        "--seed",
+    ),
+    "independent-short-utility": (
+        lambda w: ["simulate", "--sampler", "independent", "--weights", w["weights"],
+                   "--utility", _short_utility(w), "--draws", "5"],
+        "utility",
+    ),
+    "synthesize-short-utility": (
+        lambda w: ["synthesize", "--weights", w["weights"], "--utility", _short_utility(w)],
+        "utility",
+    ),
+    "synthesize-other-universe": (
+        lambda w: ["synthesize", "--weights", w["weights"], "--gamma", _other_gamma(w)],
+        "universe",
+    ),
+    "undecodable-file": (lambda w: ["check", _binary_file(w)], "cannot read"),
+    "tolerance-negative": (_limit_tolerance("-1"), "tolerance"),
+    "tolerance-nan": (_limit_tolerance("nan"), "tolerance"),
+    "tolerance-inf": (_limit_tolerance("inf"), "tolerance"),
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exits_two_with_one_line(self, work, capsys, case):
+        argv, word = MALFORMED_INPUTS[case]
+        code, out, err = run(argv(work), capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("lucekit: ") and err.count("\n") == 1 and word in err
+
+    def test_subprocess_never_shows_a_traceback(self, work):
+        # Every case above, each kind of document the CLI reads among them, in a
+        # fresh process.
+        calls = [argv(work) for argv, _ in MALFORMED_INPUTS.values()]
+        argvs = json.dumps([[str(a) for a in argv] for argv in calls])
+        code = (
+            "import json, sys; from lucekit.cli import main; "
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", code, argvs],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert "Traceback" not in out.stderr
+        assert out.returncode == 0 and json.loads(out.stdout) == [2] * len(calls)
+        assert out.stderr.count("lucekit: ") == len(calls)
 
 
 class TestEncodeErrors:

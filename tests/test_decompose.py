@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,24 @@ class TestRoundTrips:
         w = LuceWeights.from_v(rule.universe, dec.v)
         rebuilt = general_luce_rule(dec.gamma, w)
         assert rebuilt.table == rule.table
+
+    def test_warp_is_checked_once(self, monkeypatch):
+        # The package re-exports the function decompose under the module's name.
+        decompose_module = sys.modules["lucekit.decompose"]
+        synthesize_module = sys.modules["lucekit.synthesize"]
+        rule = helpers.random_synthesized_rule(5, random.Random(3))
+        calls = []
+        real = decompose_module.check_warp
+
+        def counting(corr):
+            calls.append(corr)
+            return real(corr)
+
+        monkeypatch.setattr(decompose_module, "check_warp", counting)
+        monkeypatch.setattr(synthesize_module, "check_warp", counting)
+        dec = decompose(rule)
+        assert len(calls) == 1
+        assert general_luce_rule(dec.gamma, LuceWeights.from_v(rule.universe, dec.v)) == rule
 
     def test_weights_pinned_per_class_not_globally(self):
         # Scaling one whole class leaves the rule unchanged; scaling a single

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -5,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucekit import (
     ChoiceDataset,
@@ -278,3 +281,158 @@ class TestRejection:
     def test_nan_rejected_on_encode(self):
         with pytest.raises(ValueError):
             dumps_document({"a": float("nan")}, kind="utility")
+
+
+def _valid_documents() -> dict[str, dict]:
+    """One small valid document of every kind, and of every report type."""
+    rng = random.Random(9)
+    rule = helpers.random_synthesized_rule(3, rng)
+    u = rule.universe
+    data = ChoiceDataset(
+        u, {ChoiceSet("abc"): {"a": 5, "b": 0, "c": 2}, ChoiceSet("ab"): {"a": 1, "b": 1}}
+    )
+    blocked = ChoiceDataset(
+        u, {ChoiceSet("ab"): {"a": 9}, ChoiceSet("abc"): {"a": 3, "b": 3, "c": 3}}
+    )
+    reports = [encode_axiom_report(r) for r in check_all(bad_rule().as_float()).values()]
+    values = {
+        "rule": (rule, None),
+        "float-rule": (rule.as_float(), None),
+        "correspondence": (helpers.random_warp_correspondence(u, rng), None),
+        "weights": (helpers.random_rational_weights(u, rng), None),
+        "float-weights": (LuceWeights.from_alpha(u, {"a": 0.0, "b": -1.5, "c": 2.0}), None),
+        "utility": ({"a": 1.0, "b": 0.0, "c": 0.0}, "utility"),
+        "dataset": (data, None),
+        "decomposition": (decompose(rule), None),
+        "fit-report": (fit(data), None),
+        "blocked-fit-report": (fit(blocked), None),
+        "limit-report": (
+            limit_check({"a": 1.0, "b": 0.0, "c": 0.0}, LuceWeights.uniform(u), (1.0, 0.1),
+                        ChoiceFamily.of_all_subsets(u)),
+            None,
+        ),
+        "axioms-report": (
+            {"type": "axioms", "mode": "float", "eps": 1e-9, "all_hold": False, "reports": reports},
+            "report",
+        ),
+        "error-report": (
+            {"type": "error", "error": "choice-axiom", "message": "m", "report": reports[0]},
+            "report",
+        ),
+    }
+    return {name: json.loads(dumps_document(obj, kind=kind)) for name, (obj, kind) in values.items()}
+
+
+VALID = _valid_documents()
+DELETE = object()  # an _edit value: remove the node
+
+# Shapes that used to escape the decoder as AttributeError, TypeError, KeyError
+# or OverflowError: (valid document, path inside its payload, replacement).
+ESCAPES = {
+    "rule-row": ("rule", ("table", 0), 1),
+    "correspondence-row": ("correspondence", ("table", 0), 1),
+    "dataset-row": ("dataset", ("observations", 0), 1),
+    "axioms-reports": ("axioms-report", ("reports",), 5),
+    "decomposition-classes": ("decomposition", ("classes",), [1]),
+    "fit-alpha-list": ("fit-report", ("alpha_hat",), [1.0]),
+    "fit-no-converged": ("fit-report", ("converged",), DELETE),
+    "weights-huge-int": ("float-weights", ("v", "a"), 10**400),
+}
+
+
+def _edit(root, path, value):
+    """``root`` with the node at ``path`` replaced by ``value``, or deleted for DELETE."""
+    if not path:
+        return value
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return root
+
+
+def broken_document(name: str) -> dict:
+    """The document of ``ESCAPES[name]``."""
+    base, path, value = ESCAPES[name]
+    doc = copy.deepcopy(VALID[base])
+    _edit(doc["payload"], path, value)
+    return doc
+
+
+def _nodes(node, path=()):
+    """(path, node) for ``node`` and everything inside it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _nodes(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return "number" if number else type(value).__name__
+
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([10**400, -(10**400), "1/2", "1/0", "a"])
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("name", sorted(ESCAPES))
+    def test_listed_shapes_raise_document_error(self, name):
+        with pytest.raises(DocumentError):
+            from_document(broken_document(name))
+
+    @settings(max_examples=600, deadline=None)
+    @given(name=st.sampled_from(sorted(VALID)), data=st.data())
+    def test_mutated_documents_decode_or_raise_document_error(self, name, data):
+        doc = copy.deepcopy(VALID[name])
+        how = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+        if how == "truncate":
+            text = dumps_document(doc)
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        else:
+            nodes = [
+                (p, n) for p, n in _nodes(doc) if how == "replace" or (p and isinstance(p[-1], str))
+            ]
+            path, old = data.draw(st.sampled_from(nodes))
+            if how == "delete":
+                value = DELETE
+            else:
+                value = data.draw(_JSON.filter(lambda x: _json_type(x) != _json_type(old)))
+            text = json.dumps(_edit(doc, path, value))
+        try:
+            loads_document(text)
+        except DocumentError:
+            pass
+
+    def test_decomposition_weights_must_cover_the_universe(self):
+        # Decoded without 'a', the decomposition used to fail only on re-encoding.
+        doc = copy.deepcopy(VALID["decomposition"])
+        del doc["payload"]["v"]["a"]
+        with pytest.raises(DocumentError, match="cover the universe"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000])
+    def test_unparsable_text_is_a_document_error(self, text):
+        with pytest.raises(DocumentError, match="not valid JSON"):
+            loads_document(text)
+
+    def test_undecodable_file_is_a_document_error(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(DocumentError, match="cannot read"):
+            read_document(str(path))

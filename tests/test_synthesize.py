@@ -225,6 +225,13 @@ class TestLimitCheck:
         with pytest.raises(ValueError):
             limit_check(util, w, (1.0, -0.5), fam)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        util, w, fam = self._setup()
+        with pytest.raises(ValueError, match="tolerance"):
+            limit_check(util, w, (1.0, 0.5), fam, tolerance=tolerance)
+        assert limit_check(util, w, (1.0, 0.5), fam, tolerance=0.0).tolerance == 0.0
+
     def test_tail_monotone_property(self):
         util, w, fam = self._setup()
         rep = limit_check(util, w, (2.0, 1.0, 0.5, 0.25, 0.125), fam)
