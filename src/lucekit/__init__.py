@@ -1,8 +1,15 @@
 """Tools for Luce-style random choice: axiom checking, decomposition,
 synthesis, ranking simulation, and maximum-likelihood estimation.
+
+The exact side (checking, decomposing, synthesizing, documents) is pure
+rational arithmetic and loads no numpy. The simulation names, which live in
+:mod:`lucekit.rum` and :mod:`lucekit._kernels`, are imported on first access,
+and numpy with them; fitting and float-mode checks import numpy when they run.
 """
 
-from ._kernels import backend_name, rank_rows, top_counts
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
 from .axioms import (
     WITNESS_CAP,
     Axiom,
@@ -71,14 +78,6 @@ from .estimate import (
     fit_alpha_mle,
     support_from_counts,
 )
-from .rum import (
-    EmpiricalRule,
-    GumbelLuceSampler,
-    IndependentRumSampler,
-    LexSampler,
-    empirical_rule,
-    lex_compose,
-)
 from .synthesize import (
     LimitReport,
     LuceWeights,
@@ -90,3 +89,31 @@ from .synthesize import (
 )
 
 __version__ = "0.1.0"
+
+# Names from the modules that import numpy when loaded. PEP 562 loads the
+# module on first access, so that ``import lucekit`` stays free of numpy.
+_LAZY = {
+    **dict.fromkeys(
+        ("EmpiricalRule", "GumbelLuceSampler", "IndependentRumSampler", "LexSampler",
+         "empirical_rule", "lex_compose"),
+        "rum",
+    ),
+    **dict.fromkeys(("backend_name", "rank_rows", "top_counts"), "_kernels"),
+}
+
+__all__ = sorted(
+    [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)]
+    + list(_LAZY)
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    if name in _LAZY.values():
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -4,23 +4,27 @@ Inputs and outputs are the JSON documents of :mod:`lucekit.documents`.
 Exit codes are a stable contract: 0 when the command succeeds and any
 checked property holds, 1 on a semantic failure (an axiom fails, a
 decomposition or fit is blocked, a limit has not converged), 2 on usage or
-input-format errors. All randomness is governed by ``--seed``, and repeated
-invocations with the same arguments produce byte-identical output.
+input-format errors, each reported as one ``lucekit:`` line on stderr. All
+randomness is governed by ``--seed``, and repeated invocations with the same
+arguments produce byte-identical output.
+
+Only ``simulate``, ``fit`` and the float-mode checkers (``check`` and
+``decompose`` on a float rule, ``check --mode float``) load numpy. On exact
+inputs ``check``, ``decompose``, ``synthesize`` and ``limit`` never import
+it, which keeps their process start short.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
+from typing import Any, NoReturn
 
 from .axioms import Axiom, _run_checkers, check_choice_axiom
 from .core import (
     EXACT,
     FLOAT,
-    ChoiceCorrespondence,
     ChoiceFamily,
-    RandomChoiceRule,
     Universe,
     WeakOrder,
     check_eps,
@@ -44,9 +48,7 @@ from .errors import (
     NotRationalError,
 )
 from .estimate import ChoiceDataset, fit as run_fit
-from .rum import GumbelLuceSampler, IndependentRumSampler, LexSampler, empirical_rule
 from .synthesize import (
-    LuceWeights,
     general_luce_rule,
     general_luce_rule_from_utility,
     limit_check,
@@ -78,13 +80,6 @@ def _emit_error(args: argparse.Namespace, error: str, exc: LucekitError) -> int:
     return 1
 
 
-def _load_typed(path: str, expected: type, what: str) -> Any:
-    obj = read_document(path)
-    if not isinstance(obj, expected):
-        raise DocumentError(f"{path} is not a {what} document")
-    return obj
-
-
 def _load_family(spec: str, universe: Universe) -> ChoiceFamily:
     if spec == "all":
         return ChoiceFamily.of_all_subsets(universe)
@@ -107,9 +102,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             check_eps(args.eps)
         except ValueError as exc:
             raise DocumentError(f"bad --eps: {exc}") from exc
-    rule = _load_typed(args.rule, RandomChoiceRule, "rule")
+    rule = read_document(args.rule, kind="rule")
     if args.mode == FLOAT and rule.mode == EXACT:
-        rule = rule.as_float(args.eps)
+        try:
+            rule = rule.as_float(args.eps)
+        except ValueError as exc:  # an eps so wide that a row reads as empty
+            raise DocumentError(f"bad --eps: {exc}") from exc
     elif args.mode == EXACT and rule.mode == FLOAT:
         raise DocumentError("a float rule cannot be promoted to exact mode")
     names = list(_ALL_AXIOMS) if not args.axioms else args.axioms.split(",")
@@ -135,7 +133,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    rule = _load_typed(args.rule, RandomChoiceRule, "rule")
+    rule = read_document(args.rule, kind="rule")
     report = check_choice_axiom(rule)
     if not report.holds:
         return _emit_error(
@@ -164,13 +162,13 @@ def _error_slug(exc: LucekitError) -> str:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
-    weights = _load_typed(args.weights, LuceWeights, "weights")
+    weights = read_document(args.weights, kind="weights")
     try:
         if args.gamma:
-            gamma = _load_typed(args.gamma, ChoiceCorrespondence, "correspondence")
+            gamma = read_document(args.gamma, kind="correspondence")
             rule = general_luce_rule(gamma, weights)
         elif args.utility:
-            u = _load_typed(args.utility, dict, "utility")
+            u = read_document(args.utility, kind="utility")
             family = _load_family(args.family, weights.universe)
             rule = general_luce_rule_from_utility(u, weights, family)
         else:
@@ -187,16 +185,18 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .rum import GumbelLuceSampler, IndependentRumSampler, LexSampler, empirical_rule
+
     if args.draws < 1:
         raise DocumentError("--draws must be at least 1")
     if args.seed < 0:
         raise DocumentError("--seed must be nonnegative")
-    weights = _load_typed(args.weights, LuceWeights, "weights")
+    weights = read_document(args.weights, kind="weights")
     universe = weights.universe
     if args.sampler in ("independent", "lex"):
         if not args.utility:
             raise DocumentError(f"--sampler {args.sampler} needs --utility")
-        u = _load_typed(args.utility, dict, "utility")
+        u = read_document(args.utility, kind="utility")
     try:
         if args.sampler == "gumbel":
             sampler = GumbelLuceSampler(weights, seed=args.seed)
@@ -214,7 +214,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    data = _load_typed(args.dataset, ChoiceDataset, "dataset")
+    data = read_document(args.dataset, kind="dataset")
     try:
         result = run_fit(data, pseudo_count=args.pseudo_count)
     except ValueError as exc:
@@ -224,8 +224,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
-    weights = _load_typed(args.weights, LuceWeights, "weights")
-    u = _load_typed(args.utility, dict, "utility")
+    weights = read_document(args.weights, kind="weights")
+    u = read_document(args.utility, kind="utility")
     try:
         schedule = [float(x) for x in args.schedule.split(",") if x.strip()]
     except ValueError as exc:
@@ -239,8 +239,15 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     return 0 if report.converged else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other refusal: exit 2, one ``lucekit:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"lucekit: {message} (see '{self.prog} -h')\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lucekit",
         description="Verify, decompose, synthesize, simulate, and fit "
         "selective-Luce choice rules.",
@@ -328,6 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for key, value in vars(args).items():
+            if value == []:  # argparse reads "--draws=--" as no values at all
+                raise DocumentError(f"--{key.replace('_', '-')} needs a value")
         return args.func(args)
     except (DocumentError, FamilySizeError) as exc:
         print(f"lucekit: {exc}", file=sys.stderr)

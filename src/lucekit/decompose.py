@@ -70,18 +70,22 @@ def _pair(rule: RandomChoiceRule, x: str, y: str) -> ChoiceSet:
     return P
 
 
-def revealed_order(rule: RandomChoiceRule) -> WeakOrder:
+def revealed_order(
+    rule: RandomChoiceRule, *, _support: ChoiceCorrespondence | None = None
+) -> WeakOrder:
     """The weak order revealed by binary support: b is at least as good as a
     exactly when p(b, {a, b}) > 0.
 
     Requires every pair in the family. The support correspondence must pass
     the contraction-consistency check, and the pairwise relation itself must
     come out complete and transitive; a rule with cyclic binary supports
-    fails one of the two and is refused rather than ranked.
+    fails one of the two and is refused rather than ranked. ``_support``,
+    when given, is ``support_correspondence(rule)`` already built by the
+    caller.
     """
     if not rule.family.contains_all_pairs():
         raise MissingPairsError("revealed order needs every pair in the family")
-    warp = check_warp(support_correspondence(rule))
+    warp = check_warp(support_correspondence(rule) if _support is None else _support)
     if not warp.holds:
         raise NotRationalError(
             "support correspondence violates contraction consistency", report=warp
@@ -152,7 +156,7 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
     never see it fire.
     """
     gamma = support_correspondence(rule)
-    order = revealed_order(rule)
+    order = revealed_order(rule, _support=gamma)
     for A in rule.family:
         if gamma.gamma(A) != maximizers(order, A):
             raise NotRationalError(

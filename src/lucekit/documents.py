@@ -110,9 +110,26 @@ def _encode_value(v: Value | ExtendedRatio | None) -> Any:
     return float(v)
 
 
+def _huge_exponent(text: str) -> bool:
+    """Whether ``Fraction(text)`` would build 10**|exponent| with more digits
+    than ``int`` parses from a string: a twelve-character ``"1e100000000"``
+    would otherwise hold the decoder for minutes."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        exponent = int(text.lower().rpartition("e")[2])
+    except ValueError:  # not a decimal exponent; Fraction refuses what it cannot read
+        return False
+    return 0 < limit <= abs(exponent)
+
+
 def _decode_scalar(raw: Any, what: str, *args: Any) -> Value:
     """A rational string as a Fraction, a finite JSON number as a float."""
     if isinstance(raw, str):
+        if ("e" in raw or "E" in raw) and _huge_exponent(raw):
+            raise DocumentError(
+                f"rational literal {reprlib.repr(raw)} has an exponent that would build "
+                f"an integer of more than {sys.get_int_max_str_digits()} digits"
+            )
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -453,18 +470,23 @@ def to_document(obj: Any, *, kind: str | None = None) -> dict:
     return {"kind": kind, "version": DOCUMENT_VERSION, "payload": encode(obj)}
 
 
-def from_document(doc: Any) -> Any:
+def from_document(doc: Any, *, kind: str | None = None) -> Any:
     """Decode a document dict into its typed value.
 
     Returns a :class:`RandomChoiceRule`, :class:`ChoiceCorrespondence`,
     :class:`LuceWeights`, utility mapping, :class:`ChoiceDataset`,
     :class:`LuceDecomposition`, or, for reports, a dict holding the decoded
-    objects under type-specific keys.
+    objects under type-specific keys. With ``kind``, a document of any other
+    kind is refused before its payload is read.
     """
     doc = _shape(doc, dict, "document")
     version = doc.get("version")
     if version != DOCUMENT_VERSION:
         raise DocumentError(f"unsupported document version {reprlib.repr(version)}")
+    if kind is not None and doc.get("kind") != kind:
+        raise DocumentError(
+            f"document of kind {reprlib.repr(doc.get('kind'))} is not a {kind} document"
+        )
     _, _, decode = _codec(doc.get("kind"))
     return decode(_shape(doc.get("payload"), dict, "document payload"))
 
@@ -495,8 +517,8 @@ def _parse(text: str) -> Any:
         raise DocumentError(f"not valid JSON: {exc}") from exc
 
 
-def loads_document(text: str) -> Any:
-    return from_document(_parse(text))
+def loads_document(text: str, *, kind: str | None = None) -> Any:
+    return from_document(_parse(text), kind=kind)
 
 
 def write_document(path: str, obj: Any, *, kind: str | None = None) -> None:
@@ -508,9 +530,9 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError; a NUL in the path
+        raise DocumentError(f"cannot read {path!r}: {exc}") from exc
 
 
-def read_document(path: str) -> Any:
-    return loads_document(_read_text(path))
+def read_document(path: str, *, kind: str | None = None) -> Any:
+    return loads_document(_read_text(path), kind=kind)

@@ -16,13 +16,16 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .axioms import AxiomReport, check_warp
 from .core import ChoiceCorrespondence, ChoiceFamily, ChoiceSet, Universe
 from .errors import CountsOffSupportError, NotRationalError
+
+# numpy loads inside the fit only: documents imports ChoiceDataset and
+# FitResult, and exact commands must not pay for numpy.
+if TYPE_CHECKING:
+    import numpy as np
 
 REL_LL_TOL = 1e-10
 GRAD_TOL = 1e-8
@@ -164,6 +167,8 @@ class _Cells:
     def __init__(
         self, data: ChoiceDataset, gamma: ChoiceCorrespondence, index: dict, pseudo: float
     ) -> None:
+        import numpy as np
+
         flat: list[int] = []
         counts: list[int] = []
         sizes: list[int] = []
@@ -194,6 +199,8 @@ class _Cells:
     def ll_grad_hess(self, alpha: np.ndarray, want_hess: bool):
         """Log-likelihood, gradient and, if wanted, the Fisher information
         Σ_A t_A (diag p − p pᵀ) at α, in one vectorized pass over the cells."""
+        import numpy as np
+
         flat, cell_set, m = self.flat, self.cell_set, self.m
         scores = alpha[flat]
         shifted = scores - np.maximum.reduceat(scores, self.starts)[cell_set]
@@ -233,6 +240,8 @@ def fit_alpha_mle(
     computed by the caller. Each likelihood, gradient and Hessian
     evaluation is one vectorized pass over the supports laid end to end.
     """
+    import numpy as np
+
     if gamma.family != data.family:
         raise ValueError("correspondence and dataset must cover the same sets")
     warp_report = check_warp(gamma) if _warp_report is None else _warp_report

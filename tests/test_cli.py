@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucekit import (
+    ChoiceDataset,
     ChoiceFamily,
     ChoiceSet,
     LuceWeights,
@@ -18,6 +23,7 @@ from lucekit import (
     WeakOrder,
     correspondence_from_order,
     dumps_document,
+    general_luce_rule,
     loads_document,
     write_document,
 )
@@ -25,7 +31,7 @@ from lucekit.cli import main
 
 import helpers
 from test_axioms import bad_rule
-from test_documents import broken_document
+from test_documents import VALID, broken_document
 
 EQUIVALENTS_CSV = (
     "choice-axiom,odds-independence,product-rule,"
@@ -395,6 +401,12 @@ def _broken_file(work, name):
     return path
 
 
+def _report_file(work):
+    path = work["dir"] / "fit_report.json"
+    path.write_text(json.dumps(VALID["fit-report"]))
+    return path
+
+
 def _short_utility(work):
     path = work["dir"] / "short_utility.json"
     write_document(str(path), {"a": 1.0, "b": 0.0}, kind="utility")
@@ -460,6 +472,20 @@ MALFORMED_INPUTS = {
         "universe",
     ),
     "undecodable-file": (lambda w: ["check", _binary_file(w)], "cannot read"),
+    "rule-huge-exponent": (lambda w: ["check", _broken_file(w, "rule-huge-exponent")], "exponent"),
+    "synthesize-report-as-utility": (
+        lambda w: ["synthesize", "--weights", w["weights"], "--utility", _report_file(w)],
+        "is not a utility document",
+    ),
+    "simulate-report-as-utility": (
+        lambda w: ["simulate", "--sampler", "lex", "--weights", w["weights"],
+                   "--utility", _report_file(w), "--draws", "5"],
+        "is not a utility document",
+    ),
+    "limit-report-as-utility": (
+        lambda w: ["limit", "--utility", _report_file(w), "--weights", w["weights"]],
+        "is not a utility document",
+    ),
     "tolerance-negative": (_limit_tolerance("-1"), "tolerance"),
     "tolerance-nan": (_limit_tolerance("nan"), "tolerance"),
     "tolerance-inf": (_limit_tolerance("inf"), "tolerance"),
@@ -530,3 +556,106 @@ class TestUsage:
         )
         assert out.returncode == 1
         assert json.loads(out.stdout)["payload"]["all_hold"] is False
+
+
+# Flag values: well-formed numbers of every size and sign, non-finite
+# spellings, and short junk.
+_JUNK = st.sampled_from(
+    ["", " ", "x", "1.5", "1e3", "nan", "inf", "-inf", "0x10", "1_0", "--", "\x00", "a\nb"]
+) | st.text(max_size=4)
+_INTS = st.integers(-(10**30), 10**30).map(str) | _JUNK
+_FLOATS = (
+    st.sampled_from(["1", "0.5", "2", "1e-300", "5e-324", "1e300"])
+    | (st.floats() | st.integers(-(10**400), 10**400)).map(repr)
+    | _INTS
+)
+# --draws stays small when it parses: the property is about refusal, not load.
+_DRAWS = st.integers(-3, 200).map(str) | _JUNK
+_AXIOMS = st.lists(st.sampled_from(EQUIVALENTS_CSV.split(",") + ["positivity", "nope", ""]), max_size=3)
+_MODES = st.sampled_from(["exact", "float", "EXACT", ""])
+
+
+@pytest.fixture(scope="class")
+def flag_inputs(tmp_path_factory):
+    """Documents and family files shared by every example of the flag property."""
+    root = tmp_path_factory.mktemp("flags")
+    u = Universe("abc")
+    w = LuceWeights.from_v(u, {"a": Fraction(1), "b": Fraction(1, 2), "c": Fraction(3)})
+    order = WeakOrder.from_classes(u, [["a", "b"], ["c"]])
+    gamma = correspondence_from_order(order, ChoiceFamily.of_all_subsets(u))
+    docs = {
+        "weights": (w, None),
+        "gamma": (gamma, None),
+        "utility": ({"a": 1.0, "b": 1.0, "c": 0.0}, "utility"),
+        "rule": (general_luce_rule(gamma, w), None),
+        "bad_rule": (bad_rule(), None),
+        "float_rule": (general_luce_rule(gamma, w).as_float(), None),
+        "dataset": (ChoiceDataset(u, {ChoiceSet("abc"): {"a": 3, "b": 1, "c": 0},
+                                      ChoiceSet("ab"): {"a": 2, "b": 2}}), None),
+    }
+    paths = {}
+    for name, (obj, kind) in docs.items():
+        paths[name] = root / f"{name}.json"
+        write_document(str(paths[name]), obj, kind=kind)
+    paths["family"] = root / "family.json"
+    paths["family"].write_text(json.dumps([["a", "b"], ["a", "b", "c"], ["c"]]))
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _families(paths):
+    return st.sampled_from(
+        ["all", "pairs", paths["family"], paths["weights"], paths["dataset"], paths["rule"],
+         paths["family"] + ".missing"]
+    ) | _JUNK
+
+
+@st.composite
+def _cli_calls(draw, paths):
+    """A subcommand with a random pick of its flags, each given as --flag=value."""
+    def flags(**options):
+        out = []
+        for name, values in options.items():
+            if draw(st.booleans()):
+                out.append(f"--{name}={draw(values)}")
+        return out
+
+    command = draw(st.sampled_from(["check", "decompose", "synthesize", "simulate", "fit", "limit"]))
+    rule = draw(st.sampled_from([paths["rule"], paths["bad_rule"], paths["float_rule"]]))
+    if command == "check":
+        return ["check", rule] + flags(axioms=_AXIOMS.map(",".join), mode=_MODES, eps=_FLOATS)
+    if command == "decompose":
+        return ["decompose", rule]
+    if command == "synthesize":
+        source = draw(st.sampled_from([[], ["--gamma", paths["gamma"]], ["--utility", paths["utility"]]]))
+        return ["synthesize", "--weights", paths["weights"], *source] + flags(
+            family=_families(paths), mode=_MODES
+        )
+    if command == "simulate":
+        sampler = draw(st.sampled_from(["gumbel", "independent", "lex", "logit"]))
+        return ["simulate", f"--sampler={sampler}", "--weights", paths["weights"],
+                "--utility", paths["utility"], f"--draws={draw(_DRAWS)}"] + flags(
+            seed=_INTS, family=_families(paths)
+        )
+    if command == "fit":
+        return ["fit", paths["dataset"]] + flags(**{"pseudo-count": _FLOATS})
+    schedule = st.lists(_FLOATS, max_size=4).map(",".join)
+    return ["limit", "--utility", paths["utility"], "--weights", paths["weights"]] + flags(
+        schedule=schedule, tolerance=_FLOATS, family=_families(paths)
+    )
+
+
+class TestFlagProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_flag_values_exit_cleanly(self, flag_inputs, data):
+        argv = data.draw(_cli_calls(flag_inputs), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == "" and err.startswith("lucekit: ") and err.count("\n") == 1, err
+        else:
+            assert code in (0, 1), (code, err)
+            if code == 0:
+                loads_document(out)

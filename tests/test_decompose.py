@@ -110,6 +110,23 @@ class TestRoundTrips:
         assert len(calls) == 1
         assert general_luce_rule(dec.gamma, LuceWeights.from_v(rule.universe, dec.v)) == rule
 
+    def test_support_correspondence_is_built_once(self, monkeypatch):
+        decompose_module = sys.modules["lucekit.decompose"]
+        rule = helpers.random_synthesized_rule(5, random.Random(4))
+        calls = []
+        real = decompose_module.support_correspondence
+
+        def counting(r):
+            calls.append(r)
+            return real(r)
+
+        monkeypatch.setattr(decompose_module, "support_correspondence", counting)
+        dec = decompose(rule)
+        assert calls == [rule]
+        assert dec.gamma == real(rule)
+        # Called alone, revealed_order still builds the correspondence itself.
+        assert revealed_order(rule) == dec.order and len(calls) == 2
+
     def test_weights_pinned_per_class_not_globally(self):
         # Scaling one whole class leaves the rule unchanged; scaling a single
         # member inside a class changes it. That is exactly the uniqueness

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -227,6 +228,17 @@ class TestRejection:
         with pytest.raises(DocumentError):
             loads_document("not json at all {")
 
+    def test_expected_kind_is_checked_before_the_payload(self):
+        doc = self._rule_doc()
+        assert from_document(doc, kind="rule") == from_document(doc)
+        doc["payload"] = None  # never read: the kind is refused first
+        with pytest.raises(DocumentError, match="kind 'rule' is not a weights document"):
+            from_document(doc, kind="weights")
+        text = dumps_document({"a": 1.0}, kind="utility")
+        assert loads_document(text, kind="utility") == {"a": 1.0}
+        with pytest.raises(DocumentError, match="is not a dataset document"):
+            loads_document(text, kind="dataset")
+
     def test_payload_must_be_object(self):
         with pytest.raises(DocumentError):
             from_document({"kind": "rule", "version": "1", "payload": []})
@@ -327,7 +339,8 @@ VALID = _valid_documents()
 DELETE = object()  # an _edit value: remove the node
 
 # Shapes that used to escape the decoder as AttributeError, TypeError, KeyError
-# or OverflowError: (valid document, path inside its payload, replacement).
+# or OverflowError, or to stall it building 10**exponent: (valid document, path
+# inside its payload, replacement).
 ESCAPES = {
     "rule-row": ("rule", ("table", 0), 1),
     "correspondence-row": ("correspondence", ("table", 0), 1),
@@ -337,6 +350,9 @@ ESCAPES = {
     "fit-alpha-list": ("fit-report", ("alpha_hat",), [1.0]),
     "fit-no-converged": ("fit-report", ("converged",), DELETE),
     "weights-huge-int": ("float-weights", ("v", "a"), 10**400),
+    "rule-huge-exponent": ("rule", ("table", 0, "p", "a"), "1e100000000"),
+    "weights-huge-exponent": ("weights", ("v", "b"), "1E-1_000_000_000"),
+    "decomposition-huge-exponent": ("decomposition", ("v", "a"), "2.5e+99999999"),
 }
 
 
@@ -418,6 +434,23 @@ class TestMalformed:
             loads_document(text)
         except DocumentError:
             pass
+
+    @pytest.mark.parametrize("name", sorted(n for n in ESCAPES if n.endswith("huge-exponent")))
+    def test_huge_exponent_fails_fast(self, name):
+        text = json.dumps(broken_document(name))
+        start = time.perf_counter()
+        with pytest.raises(DocumentError, match="exponent"):
+            loads_document(text)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("25e-3", Fraction(1, 40)), ("1.5E2", Fraction(150)), ("4e+0", Fraction(4))],
+    )
+    def test_small_exponents_still_decode_exactly(self, literal, value):
+        doc = copy.deepcopy(VALID["weights"])
+        doc["payload"]["v"]["b"] = literal
+        assert from_document(doc).v["b"] == value
 
     def test_decomposition_weights_must_cover_the_universe(self):
         # Decoded without 'a', the decomposition used to fail only on re-encoding.
