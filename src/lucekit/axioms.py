@@ -194,6 +194,18 @@ class _PairShares(NamedTuple):
     member_pairs: int  # C(|B|, 2)
     subsets: int  # 2^|B| − 1
 
+    @classmethod
+    def from_sizes(cls, per_size: list[int], supported: int) -> "_PairShares":
+        """All counts but ``supported`` from ``per_size[k]``, the pairs with |B| = k."""
+        sizes = list(enumerate(per_size))
+        return cls(
+            pairs=sum(c for _, c in sizes),
+            members=sum(c * k for k, c in sizes),
+            supported=supported,
+            member_pairs=sum(c * (k * (k - 1) // 2) for k, c in sizes),
+            subsets=sum(c * ((1 << k) - 1) for k, c in sizes),
+        )
+
 
 class _FloatPairs(NamedTuple):
     """Float mode: the nested pairs of a family as arrays, for the array pass."""
@@ -384,13 +396,9 @@ class _RuleView:
         if self._shares is None:
             import numpy as np
 
-            per_size = list(enumerate(np.bincount(self._float_pairs().size).tolist()))
-            self._shares = _PairShares(
-                pairs=sum(c for _, c in per_size),
-                members=sum(c * k for k, c in per_size),
-                supported=int(self._float_pass("supported").sum()),
-                member_pairs=sum(c * (k * (k - 1) // 2) for k, c in per_size),
-                subsets=sum(c * ((1 << k) - 1) for k, c in per_size),
+            self._shares = _PairShares.from_sizes(
+                np.bincount(self._float_pairs().size).tolist(),
+                int(self._float_pass("supported").sum()),
             )
         return self._shares
 
@@ -459,7 +467,8 @@ class _RuleView:
         bits = [list(_iter_bits(m)) for m in masks]
         support = [sum(1 << j for j in b if num[j] > 0) for b, num in zip(bits, nums)]
         failing: list[tuple[int, int]] = []
-        pairs = members = supported = member_pairs = subsets = 0
+        per_size = [0] * (self.n + 1)
+        supported = 0
         for iA, num_A in enumerate(nums):
             support_A = support[iA]
             for iB in self.pairs.subsets_of(iA):
@@ -469,14 +478,9 @@ class _RuleView:
                     if num_A[j] * den_B != num_B[j] * mass_AB:
                         failing.append((iB, iA))
                         break
-                k = len(bits_B)
-                pairs += 1
-                members += k
+                per_size[len(bits_B)] += 1
                 supported += (support_A & masks[iB]).bit_count()
-                member_pairs += k * (k - 1) // 2
-                subsets += (1 << k) - 1
-        shares = _PairShares(pairs, members, supported, member_pairs, subsets)
-        self._split = (failing, shares)
+        self._split = (failing, _PairShares.from_sizes(per_size, supported))
         return self._split
 
     def members_of(self, mask: int) -> ChoiceSet:
@@ -619,6 +623,21 @@ def check_product_rule(
     return out.report(Axiom.PRODUCT_RULE, view.shares().member_pairs, rule.family.all_subsets)
 
 
+def _failing_subsets(view: _RuleView, iB: int, iA: int) -> list[int]:
+    """Nonempty C ⊆ B, as ascending submasks, where p(C, A) ≠ p(C, B)·p(B, A)."""
+    mB = view.masks[iB]
+    sums_A, sums_B = view.subset_sums(iA), view.subset_sums(iB)
+    mass_AB = sums_A[mB]
+    den_B = view.dens[iB]
+    failing: list[int] = []
+    sub = (0 - mB) & mB
+    while sub:
+        if not view.eq(sums_A[sub] * den_B, sums_B[sub] * mass_AB):
+            failing.append(sub)
+        sub = (sub - mB) & mB
+    return failing
+
+
 def check_set_choice_axiom(
     rule: RandomChoiceRule, *, eps: float | None = None, _view: _RuleView | None = None
 ) -> AxiomReport:
@@ -636,16 +655,7 @@ def check_set_choice_axiom(
     view = _view or _RuleView(rule, eps)
     out = _Collector()
     for iB, iA in view.scan_pairs(Axiom.SET_CHOICE_AXIOM, out):
-        mB = view.masks[iB]
-        sums_A, sums_B = view.subset_sums(iA), view.subset_sums(iB)
-        mass_AB = sums_A[mB]
-        den_B = view.dens[iB]
-        failing: list[int] = []
-        sub = (0 - mB) & mB
-        while sub:
-            if not view.eq(sums_A[sub] * den_B, sums_B[sub] * mass_AB):
-                failing.append(sub)
-            sub = (sub - mB) & mB
+        failing = _failing_subsets(view, iB, iA)
         for mC in sorted(failing, key=lambda m: (bin(m).count("1"), view.members_of(m).members)):
             C, B, A = view.members_of(mC), view.sets[iB], view.sets[iA]
             out.add(lambda C=C, B=B, A=A: Witness(
@@ -681,15 +691,7 @@ def check_set_intersection_rule(
     canonical_masks: list[int] | None = None
     for iB, iA in view.scan_pairs(Axiom.SET_INTERSECTION_RULE, out):
         mB = view.masks[iB]
-        sums_A, sums_B = view.subset_sums(iA), view.subset_sums(iB)
-        mass_AB = sums_A[mB]
-        den_B = view.dens[iB]
-        failing: set[int] = set()
-        sub = (0 - mB) & mB
-        while sub:
-            if not view.eq(sums_A[sub] * den_B, sums_B[sub] * mass_AB):
-                failing.add(sub)
-            sub = (sub - mB) & mB
+        failing = _failing_subsets(view, iB, iA)
         if not failing:
             continue
         weight = 1 << (n - len(view.sets[iB]))
@@ -729,6 +731,30 @@ def check_set_intersection_rule(
     return out.report(Axiom.SET_INTERSECTION_RULE, checked, rule.family.all_subsets)
 
 
+def _check_zero_cells(
+    view: _RuleView, axiom: Axiom, sets: Iterable[int], detail: str, complete: bool
+) -> AxiomReport:
+    """The scan behind positivity and full support: is p(a, A) > 0 for A in ``sets``?"""
+    rule = view.rule
+    out = _Collector()
+    checked = 0
+    for i in sets:
+        for j in _iter_bits(view.masks[i]):
+            checked += 1
+            if view.positive(view.nums[i][j]):
+                continue
+            A, a = view.sets[i], view.labels[j]
+            out.add(lambda A=A, a=a: Witness(
+                axiom=axiom,
+                sets=(A,),
+                elements=(a,),
+                lhs=rule.p(a, A),
+                rhs=None,
+                detail=detail,
+            ))
+    return out.report(axiom, checked, complete)
+
+
 def check_positivity(
     rule: RandomChoiceRule, *, eps: float | None = None, _view: _RuleView | None = None
 ) -> AxiomReport:
@@ -740,25 +766,11 @@ def check_positivity(
     rhs = None (the requirement is positivity, not an identity).
     """
     view = _view or _RuleView(rule, eps)
-    out = _Collector()
-    checked = 0
-    for i, P in enumerate(view.sets):
-        if len(P) != 2:
-            continue
-        for j in _iter_bits(view.masks[i]):
-            checked += 1
-            if view.positive(view.nums[i][j]):
-                continue
-            a = view.labels[j]
-            out.add(lambda P=P, a=a: Witness(
-                axiom=Axiom.POSITIVITY,
-                sets=(P,),
-                elements=(a,),
-                lhs=rule.p(a, P),
-                rhs=None,
-                detail="binary probability must be positive",
-            ))
-    return out.report(Axiom.POSITIVITY, checked, rule.family.contains_all_pairs())
+    pairs = (i for i, P in enumerate(view.sets) if len(P) == 2)
+    return _check_zero_cells(
+        view, Axiom.POSITIVITY, pairs,
+        "binary probability must be positive", rule.family.contains_all_pairs(),
+    )
 
 
 def check_full_support(
@@ -769,23 +781,10 @@ def check_full_support(
     Witness layout: sets = (A,), elements = (a,), lhs = p(a, A), rhs = None.
     """
     view = _view or _RuleView(rule, eps)
-    out = _Collector()
-    checked = 0
-    for i, A in enumerate(view.sets):
-        for j in _iter_bits(view.masks[i]):
-            checked += 1
-            if view.positive(view.nums[i][j]):
-                continue
-            a = view.labels[j]
-            out.add(lambda A=A, a=a: Witness(
-                axiom=Axiom.FULL_SUPPORT,
-                sets=(A,),
-                elements=(a,),
-                lhs=rule.p(a, A),
-                rhs=None,
-                detail="support must be the whole set",
-            ))
-    return out.report(Axiom.FULL_SUPPORT, checked, rule.family.all_subsets)
+    return _check_zero_cells(
+        view, Axiom.FULL_SUPPORT, range(len(view.sets)),
+        "support must be the whole set", rule.family.all_subsets,
+    )
 
 
 def check_warp(corr: ChoiceCorrespondence) -> AxiomReport:

@@ -21,7 +21,6 @@ from .axioms import check_warp
 from .core import (
     EXACT,
     ChoiceCorrespondence,
-    ChoiceFamily,
     ChoiceSet,
     RandomChoiceRule,
     Universe,
@@ -63,59 +62,41 @@ class LuceDecomposition:
         return self.order.universe
 
 
-def _pair(rule: RandomChoiceRule, x: str, y: str) -> ChoiceSet:
-    P = ChoiceSet((x, y))
-    if P not in rule.family:
-        raise MissingPairsError(f"family lacks the pair {P}")
-    return P
-
-
-def revealed_order(
-    rule: RandomChoiceRule, *, _support: ChoiceCorrespondence | None = None
-) -> WeakOrder:
+def revealed_order(rule: RandomChoiceRule) -> WeakOrder:
     """The weak order revealed by binary support: b is at least as good as a
     exactly when p(b, {a, b}) > 0.
 
-    Requires every pair in the family. The support correspondence must pass
-    the contraction-consistency check, and the pairwise relation itself must
-    come out complete and transitive; a rule with cyclic binary supports
-    fails one of the two and is refused rather than ranked. ``_support``,
-    when given, is ``support_correspondence(rule)`` already built by the
-    caller.
+    Requires every pair in the family, and refuses the order unless its
+    maximizers are the rule's support on every family set. That one test
+    decides rationality: the maximizers of a weak order always satisfy the
+    contraction-consistency check (WARP), and when the family holds every
+    pair a WARP support is the set of maximizers of the relation its pairs
+    reveal (Arrow 1959). So the test fails exactly when the support violates
+    WARP or the binary supports are not transitive. Only then does
+    ``check_warp`` run, to attach its report to the refusal. A WARP support
+    can only disagree on a pair, and pairs come first in family order, so
+    the first mismatch found is that pair.
     """
     if not rule.family.contains_all_pairs():
         raise MissingPairsError("revealed order needs every pair in the family")
-    warp = check_warp(support_correspondence(rule) if _support is None else _support)
-    if not warp.holds:
-        raise NotRationalError(
-            "support correspondence violates contraction consistency", report=warp
-        )
-    universe = rule.universe
-    labels = universe.alternatives
-    beats: dict[str, int] = {a: 0 for a in labels}
-    for i, x in enumerate(labels):
-        for y in labels[i + 1:]:
-            P = _pair(rule, x, y)
-            x_ok = rule.is_positive(rule.p(x, P))
-            y_ok = rule.is_positive(rule.p(y, P))
-            if not y_ok:
-                beats[y] += 1  # x strictly beats y
-            if not x_ok:
-                beats[x] += 1
-    order = WeakOrder(universe, beats)
-    # Pairwise supports can be intransitive even when the contraction check
-    # is vacuous (families with no nested pairs), so verify the ranking
-    # actually reproduces every binary support before returning it.
-    for i, x in enumerate(labels):
-        for y in labels[i + 1:]:
-            P = ChoiceSet((x, y))
-            if rule.is_positive(rule.p(x, P)) != order.weakly_prefers(x, y) or (
-                rule.is_positive(rule.p(y, P)) != order.weakly_prefers(y, x)
-            ):
+    beaten = dict.fromkeys(rule.universe, 0)  # alternatives strictly better than each
+    for P in rule.family:
+        if len(P) == 2:
+            for a in P:
+                if not rule.is_positive(rule.p(a, P)):
+                    beaten[a] += 1
+    order = WeakOrder(rule.universe, beaten)
+    for A in rule.family:
+        if rule.support(A) != maximizers(order, A):
+            warp = check_warp(support_correspondence(rule))
+            if not warp.holds:
                 raise NotRationalError(
-                    f"binary supports are not consistent with any weak order "
-                    f"(first mismatch at {P})"
+                    "support correspondence violates contraction consistency", report=warp
                 )
+            raise NotRationalError(
+                f"binary supports are not consistent with any weak order "
+                f"(first mismatch at {A})"
+            )
     return order
 
 
@@ -133,7 +114,9 @@ def recover_v(rule: RandomChoiceRule, order: WeakOrder) -> dict[str, Value]:
         rep = group[0]
         v[rep] = one
         for x in group[1:]:
-            P = _pair(rule, x, rep)
+            P = ChoiceSet((x, rep))
+            if P not in rule.family:
+                raise MissingPairsError(f"family lacks the pair {P}")
             num, den = rule.p(x, P), rule.p(rep, P)
             if not (rule.is_positive(num) and rule.is_positive(den)):
                 raise DegenerateOddsError(
@@ -147,28 +130,23 @@ def recover_v(rule: RandomChoiceRule, order: WeakOrder) -> dict[str, Value]:
 def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
     """Split a rule into (gamma, order, classes, v, alpha) and verify the split.
 
-    Three checks happen along the way: the support correspondence must be
-    contraction-consistent, it must equal the revealed order's maximizers on
-    every family set, and rebuilding the rule from (gamma, v) must reproduce
-    the input table (exactly in exact mode, within eps in float mode). The
-    last check is what rejects rules that violate the product structure only
-    on larger sets; callers that already verified the choice axiom will
-    never see it fire.
+    Two checks happen along the way. :func:`revealed_order` requires the
+    support on every family set to be the revealed order's maximizers, which
+    holds exactly when the support correspondence is contraction-consistent
+    and its pairs rank the alternatives. Then rebuilding the rule from
+    (gamma, v) must reproduce the input table (exactly in exact mode, within
+    eps in float mode). The rebuild is what rejects rules that violate the
+    product structure only on larger sets; callers that already verified the
+    choice axiom will never see it fire.
     """
+    order = revealed_order(rule)
     gamma = support_correspondence(rule)
-    order = revealed_order(rule, _support=gamma)
-    for A in rule.family:
-        if gamma.gamma(A) != maximizers(order, A):
-            raise NotRationalError(
-                f"support of {A} is {gamma.gamma(A)}, not the revealed-order "
-                f"maximizers {maximizers(order, A)}"
-            )
     v = recover_v(rule, order)
     weights = LuceWeights(rule.universe, v)
     tol = 0.0 if rule.mode == EXACT else rule.eps
     for A in rule.family:
-        # revealed_order checked Γ for WARP; these are general_luce_rule(Γ, v)'s rows.
-        rebuilt = _share_rows(weights, A, set(gamma.gamma(A).members))
+        # Γ is the order's maximizers, so these are general_luce_rule(Γ, v)'s rows.
+        rebuilt = _share_rows(weights, A, gamma.gamma(A))
         for a in A:
             got, want = rebuilt[a], rule.p(a, A)
             if rule.mode == EXACT:

@@ -183,6 +183,10 @@ def lex_compose(first: WeakOrder, second: WeakOrder) -> WeakOrder:
 # that far behind wins with probability of order e^-700 or less either way.
 _MAX_EXPONENT = 700.0
 
+# numpy fills successive blocks of a race in the order it fills one matrix,
+# so tallies do not depend on the block size.
+_BLOCK_ROWS = 1 << 16
+
 
 def empirical_rule(sampler, family: ChoiceFamily, n_draws: int) -> EmpiricalRule:
     """Tally each set's top choice over ``n_draws`` independent draws.
@@ -196,7 +200,9 @@ def empirical_rule(sampler, family: ChoiceFamily, n_draws: int) -> EmpiricalRule
     law of the top choice is the samplers' own. Each family set draws from
     its own substream (indexed by family position), so tallies are
     independent across sets and reproducible for a fixed sampler seed; they
-    are not the top choices of ``draw_ranks`` under that seed.
+    are not the top choices of ``draw_ranks`` under that seed. Draws are
+    made in blocks of ``_BLOCK_ROWS`` rows, so memory does not grow with
+    ``n_draws``.
     """
     if family.universe != sampler.universe:
         raise ValueError("sampler and family must share a universe")
@@ -214,8 +220,11 @@ def empirical_rule(sampler, family: ChoiceFamily, n_draws: int) -> EmpiricalRule
             alpha = sampler._alpha[[index(a) for a in names]]
             scale = np.exp(np.minimum(alpha.max() - alpha, _MAX_EXPONENT))
             rng = _substream(sampler.seed, family.position(A))
-            keys = rng.standard_exponential((n_draws, len(names)))
-            keys *= scale
-            row.update(zip(names, top_counts(keys).tolist()))
+            wins = np.zeros(len(names), dtype=np.int64)
+            for start in range(0, n_draws, _BLOCK_ROWS):
+                keys = rng.standard_exponential((min(_BLOCK_ROWS, n_draws - start), len(names)))
+                keys *= scale
+                wins += top_counts(keys)
+            row.update(zip(names, wins.tolist()))
         counts[A] = row
     return EmpiricalRule(family=family, counts=counts, n_draws=n_draws)

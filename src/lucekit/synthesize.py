@@ -30,7 +30,6 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
-    correspondence_from_order,
     maximizers,
 )
 from .errors import NotRationalError
@@ -104,8 +103,9 @@ def _validate_utility(universe: Universe, u: Mapping[str, float]) -> dict[str, f
 
 
 def _share_rows(
-    weights: LuceWeights, members: Iterable[str], chosen: set[str]
+    weights: LuceWeights, members: Iterable[str], chosen: ChoiceSet
 ) -> dict[str, Value]:
+    # Summed in label order, so float rows do not depend on set hashing.
     total = sum(weights.v[b] for b in chosen)
     zero: Value = Fraction(0) if weights.mode == EXACT else 0.0
     return {a: weights.v[a] / total if a in chosen else zero for a in members}
@@ -115,7 +115,7 @@ def luce_rule(weights: LuceWeights, family: ChoiceFamily) -> RandomChoiceRule:
     """The fully supported rule p(a, A) = v(a) / sum of v over A."""
     if family.universe != weights.universe:
         raise ValueError("weights and family must share a universe")
-    table = {A: _share_rows(weights, A, set(A.members)) for A in family}
+    table = {A: _share_rows(weights, A, A) for A in family}
     return RandomChoiceRule(family, table, mode=weights.mode)
 
 
@@ -136,21 +136,24 @@ def general_luce_rule(gamma: ChoiceCorrespondence, weights: LuceWeights) -> Rand
             "a selective rule outside the Luce form",
             report=report,
         )
-    table = {
-        A: _share_rows(weights, A, set(gamma.gamma(A).members)) for A in gamma.family
-    }
+    table = {A: _share_rows(weights, A, gamma.gamma(A)) for A in gamma.family}
     return RandomChoiceRule(gamma.family, table, mode=weights.mode)
 
 
 def general_luce_rule_from_utility(
     u: Mapping[str, float], weights: LuceWeights, family: ChoiceFamily
 ) -> RandomChoiceRule:
-    """As :func:`general_luce_rule` with gamma(A) the maximizers of ``u`` on A."""
+    """As :func:`general_luce_rule` with gamma(A) the maximizers of ``u`` on A.
+
+    The maximizers of a weak order are contraction-consistent by
+    construction, so no WARP scan runs.
+    """
     if family.universe != weights.universe:
         raise ValueError("weights and family must share a universe")
     util = _validate_utility(family.universe, u)
     order = WeakOrder.from_utility(family.universe, util)
-    return general_luce_rule(correspondence_from_order(order, family), weights)
+    table = {A: _share_rows(weights, A, maximizers(order, A)) for A in family}
+    return RandomChoiceRule(family, table, mode=weights.mode)
 
 
 def lambda_smoothed_rule(

@@ -11,6 +11,7 @@ from lucekit import (
     ChoiceFamily,
     ChoiceSet,
     DegenerateOddsError,
+    LucekitError,
     LuceWeights,
     MissingPairsError,
     NotRationalError,
@@ -25,8 +26,10 @@ from lucekit import (
     revealed_order,
     support_correspondence,
 )
+from lucekit.documents import encode_axiom_report
 
 import helpers
+import oracle_decompose as oracle
 from test_axioms import bad_rule
 
 
@@ -36,6 +39,20 @@ def _worked_example():
     gamma = correspondence_from_order(order, ChoiceFamily.of_all_subsets(u))
     w = LuceWeights.from_v(u, {"a": Fraction(1), "b": Fraction(1, 2), "c": Fraction(1)})
     return general_luce_rule(gamma, w), order
+
+
+def cyclic_rule() -> RandomChoiceRule:
+    """a beats b beats c beats a, on the three pairs alone."""
+    u = Universe("abc")
+    fam = ChoiceFamily(u, [ChoiceSet("ab"), ChoiceSet("ac"), ChoiceSet("bc")])
+    return RandomChoiceRule(
+        fam,
+        {
+            ChoiceSet("ab"): {"a": 1, "b": 0},
+            ChoiceSet("bc"): {"b": 1, "c": 0},
+            ChoiceSet("ac"): {"a": 0, "c": 1},
+        },
+    )
 
 
 class TestWorkedExample:
@@ -107,8 +124,9 @@ class TestRoundTrips:
         monkeypatch.setattr(decompose_module, "check_warp", counting)
         monkeypatch.setattr(synthesize_module, "check_warp", counting)
         dec = decompose(rule)
-        assert len(calls) == 1
+        assert calls == []  # an accepted rule needs no WARP scan
         assert general_luce_rule(dec.gamma, LuceWeights.from_v(rule.universe, dec.v)) == rule
+        assert calls == [dec.gamma]  # a caller's Γ is still scanned
 
     def test_support_correspondence_is_built_once(self, monkeypatch):
         decompose_module = sys.modules["lucekit.decompose"]
@@ -124,8 +142,11 @@ class TestRoundTrips:
         dec = decompose(rule)
         assert calls == [rule]
         assert dec.gamma == real(rule)
-        # Called alone, revealed_order still builds the correspondence itself.
-        assert revealed_order(rule) == dec.order and len(calls) == 2
+        # revealed_order builds it only to report a refusal.
+        assert revealed_order(rule) == dec.order and calls == [rule]
+        with pytest.raises(NotRationalError):
+            revealed_order(cyclic_rule())
+        assert len(calls) == 2
 
     def test_weights_pinned_per_class_not_globally(self):
         # Scaling one whole class leaves the rule unchanged; scaling a single
@@ -152,18 +173,8 @@ class TestRefusals:
             decompose(bad_rule())
 
     def test_cyclic_binary_supports_are_not_rational(self):
-        u = Universe("abc")
-        fam = ChoiceFamily(u, [ChoiceSet("ab"), ChoiceSet("ac"), ChoiceSet("bc")])
-        rule = RandomChoiceRule(
-            fam,
-            {
-                ChoiceSet("ab"): {"a": 1, "b": 0},
-                ChoiceSet("bc"): {"b": 1, "c": 0},
-                ChoiceSet("ac"): {"a": 0, "c": 1},
-            },
-        )
         with pytest.raises(NotRationalError):
-            revealed_order(rule)
+            revealed_order(cyclic_rule())
 
     def test_non_warp_support_is_refused_with_report(self):
         u = Universe("abc")
@@ -213,3 +224,72 @@ class TestRefusals:
         lying = WeakOrder.trivial(u)  # claims a ~ b despite p(b,{ab}) = 0
         with pytest.raises(DegenerateOddsError):
             recover_v(rule, lying)
+
+
+def random_support_row(rng: random.Random, A: ChoiceSet) -> dict:
+    """Random positive rational masses on a random nonempty part of ``A``."""
+    chosen = [a for a in A if rng.random() < 0.6] or [rng.choice(A.members)]
+    masses = {a: Fraction(rng.randint(1, 9)) for a in chosen}
+    total = sum(masses.values())
+    return {a: masses.get(a, Fraction(0)) / total for a in A}
+
+
+def family_with_every_pair(rng: random.Random, kind: str) -> ChoiceFamily:
+    """Every pair of 1-6 labels, plus: all other subsets ("complete"), a
+    random part of them ("partial"), the whole universe ("pairs") or nothing
+    ("pairs-only")."""
+    universe = helpers.universe_of(rng.randint(1, 6))
+    if kind == "complete":
+        return ChoiceFamily.of_all_subsets(universe)
+    sets = {A for A in universe.subsets() if len(A) == 2}
+    if kind == "partial":
+        sets |= {A for A in universe.subsets() if len(A) != 2 and rng.random() < 0.3}
+    if kind == "pairs" or not sets:
+        sets.add(ChoiceSet(universe.alternatives))
+    return ChoiceFamily(universe, sets)
+
+
+def oracle_case_rule(rng: random.Random, family: ChoiceFamily, kind: str) -> RandomChoiceRule:
+    """A selective Luce rule on ``family``; unless ``kind`` is "synthesized",
+    one cell moved ("perturbed"), two rows ("mutated") or every row
+    ("random-support") given random supports, which makes cyclic pairs and
+    non-WARP supports."""
+    universe = family.universe
+    order = helpers.random_weak_order(universe, rng)
+    weights = helpers.random_rational_weights(universe, rng)
+    rule = general_luce_rule(correspondence_from_order(order, family), weights)
+    if kind == "synthesized":
+        return rule
+    if kind == "perturbed":
+        return helpers.perturb_rule(rule, rng) if len(universe) > 1 else rule
+    table = {A: dict(rule.row(A)) for A in family}
+    rows = family.sets if kind == "random-support" else rng.sample(family.sets, min(2, len(family)))
+    for A in rows:
+        table[A] = random_support_row(rng, A)
+    return RandomChoiceRule(family, table)
+
+
+def outcome(fn, rule):
+    """The return value, or the refusal's type, message and encoded report."""
+    try:
+        return fn(rule)
+    except LucekitError as exc:
+        report = getattr(exc, "report", None)
+        return type(exc), str(exc), None if report is None else encode_axiom_report(report)
+
+
+class TestMatchesWarpFirstOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        family_kind=st.sampled_from(["complete", "partial", "pairs", "pairs-only"]),
+        rule_kind=st.sampled_from(["synthesized", "perturbed", "mutated", "random-support"]),
+        as_float=st.booleans(),
+    )
+    def test_same_result_or_refusal(self, seed, family_kind, rule_kind, as_float):
+        rng = random.Random(seed)
+        rule = oracle_case_rule(rng, family_with_every_pair(rng, family_kind), rule_kind)
+        if as_float:
+            rule = rule.as_float()
+        assert outcome(revealed_order, rule) == outcome(oracle.revealed_order, rule)
+        assert outcome(decompose, rule) == outcome(oracle.decompose, rule)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from lucekit import (
     general_luce_rule_from_utility,
     maximizers,
 )
+from lucekit import rum
 from lucekit.rum import (
     EmpiricalRule,
     GumbelLuceSampler,
@@ -172,6 +174,32 @@ class TestEmpiricalRule:
         mc_eps = 4 * math.sqrt(0.25 / n)
         rule = emp.as_rule(eps=mc_eps)
         assert check_choice_axiom(rule).holds
+
+    def test_counts_spanning_several_blocks_match_one_matrix(self):
+        # Three blocks, the last one partial: the tallies must be those of
+        # one (draws × contenders) race drawn from each set's substream.
+        w = _abc_weights()
+        fam = ChoiceFamily.of_pairs(w.universe)
+        n = 2 * rum._BLOCK_ROWS + 3
+        emp = empirical_rule(GumbelLuceSampler(w, seed=9), fam, n)
+        for A in fam:
+            alpha = np.array([w.alpha[a] for a in A])
+            keys = np.random.default_rng([9, fam.position(A)]).standard_exponential((n, len(A)))
+            keys *= np.exp(alpha.max() - alpha)
+            want = np.bincount(np.argmin(keys, axis=1), minlength=len(A))
+            assert list(emp.counts[A].values()) == want.tolist()
+
+    def test_memory_does_not_grow_with_draws(self):
+        w = _abc_weights()
+        fam = ChoiceFamily.of_pairs(w.universe)
+        tracemalloc.start()
+        try:
+            emp = empirical_rule(GumbelLuceSampler(w, seed=2), fam, 4_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(emp.counts[ChoiceSet("abc")].values()) == 4_000_000
+        assert peak < 16 * 2**20  # one 4M × 3 matrix alone would be 96 MB
 
 
 @st.composite

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,8 @@ from lucekit import (
 )
 
 import helpers
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestLuceWeights:
@@ -133,6 +139,39 @@ class TestGeneralLuceRule:
         order = WeakOrder.from_utility(u, util)
         via_order = general_luce_rule(correspondence_from_order(order, fam), w)
         assert via_util.table == via_order.table
+
+    def test_from_utility_runs_no_warp_scan(self, monkeypatch):
+        # Maximizers of a utility are WARP-rational by construction.
+        synthesize_module = sys.modules["lucekit.synthesize"]
+        calls = []
+        monkeypatch.setattr(synthesize_module, "check_warp", calls.append)
+        u = helpers.universe_of(4)
+        fam = ChoiceFamily.of_all_subsets(u)
+        rule = general_luce_rule_from_utility(
+            {"a": 1.0, "b": 1.0, "c": 0.0, "d": -2.0}, LuceWeights.uniform(u), fam
+        )
+        assert calls == []
+        assert support_correspondence(rule).table[ChoiceSet("abcd")] == ChoiceSet("ab")
+
+    def test_float_rows_do_not_depend_on_string_hashing(self):
+        # Shares are summed in label order; a set's iteration order would
+        # change the last bits of float rows from one interpreter to the next.
+        script = (
+            "from lucekit import *\n"
+            "u = Universe('abcdefgh')\n"
+            "w = LuceWeights.from_v(u, {a: 0.1 + 0.37 * i for i, a in enumerate(u)})\n"
+            "rule = luce_rule(w, ChoiceFamily.of_all_subsets(u))\n"
+            "print(dumps_document(rule))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in range(4)
+        }
+        assert len(outputs) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(
