@@ -15,13 +15,15 @@ integers. Float rules are evaluated directly with the relative tolerance
 probabilities themselves (not the cross-multiplied forms), so they can be
 replayed against the raw definitions via :func:`replay_witness`.
 
-All checkers but odds independence, positivity and full support quantify
-over nested pairs B ⊂ A of the family. :class:`_NestedPairs` lists them by
-walking the submasks of each A and looking each up in a mask-to-index table,
-or, when 2^|A| exceeds the family size |F|, by scanning the family for A's
-subsets; the cost is O(Σ_A min(2^|A|, |F|)) rather than O(|F|²), and pairs
-are generated lazily, never stored as a list. In exact mode one pass over
-the pairs computes, for every j ∈ B, the residual
+All checkers but positivity and full support quantify over nested pairs
+B ⊂ A of the family (odds independence over those with |B| = 2).
+:class:`_NestedPairs` owns the set encoding (sets as bitmasks over the
+universe) and lists the pairs by walking the submasks of each A against a
+mask-to-index table, or, when 2^|A| exceeds the family size |F|, by
+scanning the family for A's subsets; the cost is O(Σ_A min(2^|A|, |F|))
+rather than O(|F|²), and pairs are generated lazily, never stored as a
+list. In exact mode one pass over the pairs computes, for every j ∈ B, the
+residual
 
     r_j = N_A[j]·D_B − N_B[j]·M_AB,    M_AB = Σ_{j∈B} N_A[j],
 
@@ -30,10 +32,11 @@ Every pair-based identity is an integer combination of these residuals
 (choice axiom and Rényi conditioning: r_j itself; set choice and set
 intersection: Σ r_j over a subset of B; product rule:
 D_B·(N_B[k]N_A[j] − N_B[j]N_A[k]) = N_B[k]·r_j − N_B[j]·r_k), so a pair
-whose residuals all vanish satisfies every instance. Such a pair only adds
-its closed-form instance count; only the other pairs are kept, and the
-per-instance scan runs on them alone, so verdicts, counts and witnesses
-match a full scan.
+whose residuals all vanish satisfies every instance (odds independence
+too: p(·, B) is then proportional to p(·, A) on B, so the odds agree or the
+right side is 0/0 and skipped). Such a pair only adds its closed-form
+instance count; the per-instance scan runs on the other pairs alone, so
+verdicts, counts and witnesses match a full scan.
 
 Float mode cannot use residuals, since tolerances do not add up linearly, so
 it compares every instance, but in numpy: the view gathers p(j, A) and
@@ -51,14 +54,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .core import (
     EXACT,
     MAX_ENUM_UNIVERSE,
     ChoiceCorrespondence,
+    ChoiceFamily,
     ChoiceSet,
     ExtendedRatio,
     RandomChoiceRule,
@@ -151,16 +154,33 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 
 class _NestedPairs:
-    """The nested pairs (B, A), B a proper subset of A, of one family.
+    """The set encoding of one family and its nested pairs (B, A), B ⊂ A.
 
-    ``masks`` are the family's sets as bitmasks in canonical family order (by
-    size, then labels), so every proper subset of set ``iA`` has a smaller
-    index. Pairs come out with the outer loop over A and B in family order.
+    A set is a bitmask over the universe, bit j for the j-th label. ``masks``
+    are the family's sets in canonical family order (by size, then labels),
+    so every proper subset of set ``iA`` has a smaller index. Pairs come out
+    with the outer loop over A and B in family order.
     """
 
-    def __init__(self, masks: list[int]) -> None:
-        self.masks = masks
-        self.index = {m: i for i, m in enumerate(masks)}
+    def __init__(self, family: ChoiceFamily) -> None:
+        self.family = family
+        self.sets = family.sets
+        self.labels = family.universe.alternatives
+        self._bit = {a: 1 << j for j, a in enumerate(self.labels)}
+        self.masks = [self.mask(A.members) for A in self.sets]
+        self.index = {m: i for i, m in enumerate(self.masks)}
+
+    def mask(self, members: Iterable[str]) -> int:
+        return sum(map(self._bit.__getitem__, members))
+
+    def members(self, mask: int) -> ChoiceSet:
+        labels = self.labels
+        return ChoiceSet(labels[j] for j in _iter_bits(mask))
+
+    @staticmethod
+    def canonical(masks: Iterable[int]) -> list[int]:
+        """``masks`` by size, then labels (labels are sorted, so bit positions order them)."""
+        return sorted(masks, key=lambda m: (m.bit_count(), tuple(_iter_bits(m))))
 
     def subsets_of(self, iA: int) -> list[int]:
         """Family indices of the proper subsets of set ``iA``, ascending."""
@@ -191,17 +211,19 @@ class _PairShares(NamedTuple):
     pairs: int  # one per pair
     members: int  # |B|
     supported: int  # j ∈ B with p(j, A) positive
+    odds: int  # one if |B| = 2 and some j ∈ B has p(j, A) positive
     member_pairs: int  # C(|B|, 2)
     subsets: int  # 2^|B| − 1
 
     @classmethod
-    def from_sizes(cls, per_size: list[int], supported: int) -> "_PairShares":
-        """All counts but ``supported`` from ``per_size[k]``, the pairs with |B| = k."""
+    def from_sizes(cls, per_size: list[int], supported: int, odds: int) -> "_PairShares":
+        """The other counts from ``per_size[k]``, the pairs with |B| = k."""
         sizes = list(enumerate(per_size))
         return cls(
             pairs=sum(c for _, c in sizes),
             members=sum(c * k for k, c in sizes),
             supported=supported,
+            odds=odds,
             member_pairs=sum(c * (k * (k - 1) // 2) for k, c in sizes),
             subsets=sum(c * ((1 << k) - 1) for k, c in sizes),
         )
@@ -254,6 +276,15 @@ def _float_product(XA, XB, eps):
     return ~within_tolerance(XB[:, K] * XA[:, J], XB[:, J] * XA[:, K], eps)
 
 
+def _float_odds(XA, XB, eps):
+    """Odds independence on B = {j, k}: the kinds of p(j, ·)/p(k, ·) by ``> eps``
+    (0/0 on A has no instance), then p(j, B)·p(k, A) against p(k, B)·p(j, A)."""
+    (jA, kA), (jB, kB) = (XA > eps).T, (XB > eps).T
+    finite = kA & kB & within_tolerance(XB[:, 0] * XA[:, 1], XB[:, 1] * XA[:, 0], eps)
+    infinite = ~kA & ~kB & jA & jB
+    return ((jA | kA) & ~finite & ~infinite)[:, None]
+
+
 def _subset_sums(X):
     """Masses of every submask c of the columns, as :meth:`_RuleView.subset_sums`.
 
@@ -281,6 +312,7 @@ def _float_set_choice(XA, XB, eps):
 # has at most 2^|B| instances.
 _FLOAT_KERNELS: dict[Axiom | str, Callable] = {
     Axiom.CHOICE_AXIOM: _float_choice,
+    Axiom.ODDS_INDEPENDENCE: _float_odds,
     Axiom.RENYI_CONDITIONING: _float_renyi,
     "supported": _float_supported,
     Axiom.PRODUCT_RULE: _float_product,
@@ -300,32 +332,22 @@ class _RuleView:
         self.rule = rule
         self.exact = rule.mode == EXACT
         self.eps = rule.eps if eps is None else check_eps(eps)
-        universe = rule.universe
-        self.n = len(universe)
-        self.labels = universe.alternatives
-        self.sets: list[ChoiceSet] = list(rule.family)
-        self.masks: list[int] = []
+        index = rule.universe.index
+        self.n = len(rule.universe)
+        self.pairs = _NestedPairs(rule.family)
+        self.labels = self.pairs.labels
+        self.sets = self.pairs.sets
+        self.masks = self.pairs.masks
         self.dens: list[Value] = []
         self.nums: list[list[Value]] = []
         for A in self.sets:
             row = rule.table[A]
-            mask = 0
-            for a in A:
-                mask |= 1 << universe.index(a)
-            self.masks.append(mask)
-            if self.exact:
-                den = math.lcm(*(v.denominator for v in row.values()))
-                num: list[Value] = [0] * self.n
-                for a, v in row.items():
-                    num[universe.index(a)] = v.numerator * (den // v.denominator)
-            else:
-                den = 1.0
-                num = [0.0] * self.n
-                for a, v in row.items():
-                    num[universe.index(a)] = float(v)
+            den = math.lcm(*(v.denominator for v in row.values())) if self.exact else 1.0
+            num: list[Value] = [den * 0] * self.n
+            for a, v in row.items():
+                num[index(a)] = v.numerator * (den // v.denominator) if self.exact else float(v)
             self.dens.append(den)
             self.nums.append(num)
-        self.pairs = _NestedPairs(self.masks)
         self._sums: dict[int, dict[int, Value]] = {}
         self._split: tuple[list[tuple[int, int]], _PairShares] | None = None
         # Float mode: the nested pairs as arrays, the failing pairs per axiom
@@ -396,9 +418,12 @@ class _RuleView:
         if self._shares is None:
             import numpy as np
 
+            size = self._float_pairs().size
+            supported = self._float_pass("supported")
             self._shares = _PairShares.from_sizes(
-                np.bincount(self._float_pairs().size).tolist(),
-                int(self._float_pass("supported").sum()),
+                np.bincount(size).tolist(),
+                int(supported.sum()),
+                int(np.count_nonzero(supported[size == 2])),
             )
         return self._shares
 
@@ -413,8 +438,7 @@ class _RuleView:
             sizes = np.array([len(S) for S in self.sets], dtype=np.int32)
             members = np.zeros((len(self.sets), int(sizes.max())), dtype=np.int32)
             for i, mask in enumerate(self.masks):
-                bits = list(_iter_bits(mask))
-                members[i, :len(bits)] = bits
+                members[i, :sizes[i]] = list(_iter_bits(mask))
             k = sizes[iB]
             self._pairs_np = _FloatPairs(
                 inner=iB,
@@ -441,6 +465,8 @@ class _RuleView:
         start = 0
         for k, end in enumerate(np.cumsum(np.bincount(pairs.size)).tolist()):
             group, start = pairs.by_size[start:end], end
+            if key == Axiom.ODDS_INDEPENDENCE and k != 2:
+                continue  # odds independence has instances on |B| = 2 only
             step = max(1, _CHUNK >> k)
             for s in range(0, len(group), step):
                 idx = group[s:s + step]
@@ -459,16 +485,23 @@ class _RuleView:
             found = self._failures[axiom] = (failing, counts[failing])
         return found
 
+    def support_masks(self, floor: Value) -> list[int]:
+        """Per set A, the bitmask of the members j with p(j, A) > ``floor``."""
+        return [
+            sum(1 << j for j in _iter_bits(mask) if num[j] > floor)
+            for mask, num in zip(self.masks, self.nums)
+        ]
+
     def _residual_split(self) -> tuple[list[tuple[int, int]], _PairShares]:
         """One residual pass: the failing pairs in order, and the pair shares."""
         if self._split is not None:
             return self._split
         nums, dens, masks = self.nums, self.dens, self.masks
         bits = [list(_iter_bits(m)) for m in masks]
-        support = [sum(1 << j for j in b if num[j] > 0) for b, num in zip(bits, nums)]
+        support = self.support_masks(0)
         failing: list[tuple[int, int]] = []
         per_size = [0] * (self.n + 1)
-        supported = 0
+        supported = odds = 0
         for iA, num_A in enumerate(nums):
             support_A = support[iA]
             for iB in self.pairs.subsets_of(iA):
@@ -479,12 +512,11 @@ class _RuleView:
                         failing.append((iB, iA))
                         break
                 per_size[len(bits_B)] += 1
-                supported += (support_A & masks[iB]).bit_count()
-        self._split = (failing, _PairShares.from_sizes(per_size, supported))
+                hits = (support_A & masks[iB]).bit_count()
+                supported += hits
+                odds += hits > 0 and len(bits_B) == 2
+        self._split = (failing, _PairShares.from_sizes(per_size, supported, odds))
         return self._split
-
-    def members_of(self, mask: int) -> ChoiceSet:
-        return ChoiceSet(self.labels[j] for j in _iter_bits(mask))
 
 
 class _Collector:
@@ -537,61 +569,43 @@ def check_choice_axiom(
     return out.report(Axiom.CHOICE_AXIOM, view.shares().members, rule.family.all_subsets)
 
 
-def _classify(num: Value, den: Value, positive: Callable[[Value], bool]) -> str:
-    if positive(den):
-        return ExtendedRatio.FINITE
-    if positive(num):
-        return ExtendedRatio.INFINITE
-    return ExtendedRatio.INDETERMINATE
-
-
 def check_odds_independence(
     rule: RandomChoiceRule, *, eps: float | None = None, _view: _RuleView | None = None
 ) -> AxiomReport:
     """Do binary odds predict in-set odds: p(a,{a,b})/p(b,{a,b}) = p(a,A)/p(b,A)?
 
     Both sides are compared as extended ratios (a positive mass against a
-    zero mass is an infinite ratio). Instances whose right side is 0/0 are
-    skipped, as are universes where the pair {a, b} is not in the family.
+    zero mass is an infinite ratio). The instances are the nested pairs
+    ({a, b}, A) of the family; those whose right side is 0/0 are skipped.
     Witness layout: sets = ({a,b}, A), elements = (a, b), lhs and rhs the two
     :class:`ExtendedRatio` values.
     """
     view = _view or _RuleView(rule, eps)
-    pair_index = {view.masks[i]: i for i in range(len(view.sets)) if len(view.sets[i]) == 2}
     out = _Collector()
-    checked = 0
-    for iA, mA in enumerate(view.masks):
-        if len(view.sets[iA]) < 3:
+    for iP, iA in view.scan_pairs(Axiom.ODDS_INDEPENDENCE, out):
+        mP = view.masks[iP]
+        if mP.bit_count() != 2:
             continue
-        bits = list(_iter_bits(mA))
-        for x, j in enumerate(bits):
-            for k in bits[x + 1:]:
-                iP = pair_index.get((1 << j) | (1 << k))
-                if iP is None:
-                    continue
-                num_A = view.nums[iA]
-                rhs_kind = _classify(num_A[j], num_A[k], view.positive)
-                if rhs_kind == ExtendedRatio.INDETERMINATE:
-                    continue
-                checked += 1
-                num_P = view.nums[iP]
-                lhs_kind = _classify(num_P[j], num_P[k], view.positive)
-                if lhs_kind == rhs_kind and (
-                    lhs_kind == ExtendedRatio.INFINITE
-                    or view.eq(num_P[j] * num_A[k], num_P[k] * num_A[j])
-                ):
-                    continue
-                P, A = view.sets[iP], view.sets[iA]
-                a, b = view.labels[j], view.labels[k]
-                tol = 0.0 if view.exact else view.eps
-                out.add(lambda P=P, A=A, a=a, b=b, tol=tol: Witness(
-                    axiom=Axiom.ODDS_INDEPENDENCE,
-                    sets=(P, A),
-                    elements=(a, b),
-                    lhs=ExtendedRatio.from_parts(rule.p(a, P), rule.p(b, P), eps=tol),
-                    rhs=ExtendedRatio.from_parts(rule.p(a, A), rule.p(b, A), eps=tol),
-                ))
-    return out.report(Axiom.ODDS_INDEPENDENCE, checked, rule.family.all_subsets)
+        j, k = _iter_bits(mP)
+        num_A, num_P, pos = view.nums[iA], view.nums[iP], view.positive
+        finite_A, finite_P = pos(num_A[k]), pos(num_P[k])  # else infinite or 0/0
+        if not (finite_A or pos(num_A[j])):
+            continue  # 0/0 on A
+        if finite_A and finite_P and view.eq(num_P[j] * num_A[k], num_P[k] * num_A[j]):
+            continue
+        if not (finite_A or finite_P) and pos(num_P[j]):
+            continue  # both infinite
+        P, A = view.sets[iP], view.sets[iA]
+        a, b = view.labels[j], view.labels[k]
+        tol = 0.0 if view.exact else view.eps
+        out.add(lambda P=P, A=A, a=a, b=b, tol=tol: Witness(
+            axiom=Axiom.ODDS_INDEPENDENCE,
+            sets=(P, A),
+            elements=(a, b),
+            lhs=ExtendedRatio.from_parts(rule.p(a, P), rule.p(b, P), eps=tol),
+            rhs=ExtendedRatio.from_parts(rule.p(a, A), rule.p(b, A), eps=tol),
+        ))
+    return out.report(Axiom.ODDS_INDEPENDENCE, view.shares().odds, rule.family.all_subsets)
 
 
 def check_product_rule(
@@ -655,9 +669,8 @@ def check_set_choice_axiom(
     view = _view or _RuleView(rule, eps)
     out = _Collector()
     for iB, iA in view.scan_pairs(Axiom.SET_CHOICE_AXIOM, out):
-        failing = _failing_subsets(view, iB, iA)
-        for mC in sorted(failing, key=lambda m: (bin(m).count("1"), view.members_of(m).members)):
-            C, B, A = view.members_of(mC), view.sets[iB], view.sets[iA]
+        for mC in view.pairs.canonical(_failing_subsets(view, iB, iA)):
+            C, B, A = view.pairs.members(mC), view.sets[iB], view.sets[iA]
             out.add(lambda C=C, B=B, A=A: Witness(
                 axiom=Axiom.SET_CHOICE_AXIOM,
                 sets=(C, B, A),
@@ -687,28 +700,17 @@ def check_set_intersection_rule(
         )
     view = _view or _RuleView(rule, eps)
     out = _Collector()
-    # All subsets of the universe in (size, labels) order, for witness naming.
-    canonical_masks: list[int] | None = None
+    universe_masks: list[int] | None = None  # every Y, in canonical order
     for iB, iA in view.scan_pairs(Axiom.SET_INTERSECTION_RULE, out):
         mB = view.masks[iB]
-        failing = _failing_subsets(view, iB, iA)
-        if not failing:
-            continue
-        weight = 1 << (n - len(view.sets[iB]))
-        if len(out.witnesses) >= WITNESS_CAP:
-            out.count += weight * len(failing)
-            continue
-        if canonical_masks is None:
-            all_masks = range(1, 1 << n)
-            canonical_masks = sorted(
-                all_masks, key=lambda m: (bin(m).count("1"), view.members_of(m).members)
-            )
-        remaining = {c: weight for c in failing}
-        for mY in canonical_masks:
-            c = mY & mB
-            if c not in remaining:
-                continue
-            Y, B, A = view.members_of(mY), view.sets[iB], view.sets[iA]
+        failing = set(_failing_subsets(view, iB, iA))
+        total = len(failing) << (n - mB.bit_count())
+        out.count += total
+        if universe_masks is None:
+            universe_masks = view.pairs.canonical(range(1, 1 << n))
+        named = (mY for mY in universe_masks if mY & mB in failing)
+        for mY in islice(named, min(total, WITNESS_CAP - len(out.witnesses))):
+            Y, B, A = view.pairs.members(mY), view.sets[iB], view.sets[iA]
             inter = [y for y in Y if y in B]
             out.add(lambda Y=Y, B=B, A=A, inter=inter: Witness(
                 axiom=Axiom.SET_INTERSECTION_RULE,
@@ -716,17 +718,7 @@ def check_set_intersection_rule(
                 elements=(),
                 lhs=rule.p_set(inter, A),
                 rhs=rule.p_set(Y, B) * rule.p_set(B, A),
-            ))
-            if len(out.witnesses) >= WITNESS_CAP:
-                remaining[c] -= 1
-                for count_left in remaining.values():
-                    out.count += count_left
-                break
-            remaining[c] -= 1
-            if remaining[c] == 0:
-                del remaining[c]
-                if not remaining:
-                    break
+            ), weight=0)
     checked = view.shares().pairs << n
     return out.report(Axiom.SET_INTERSECTION_RULE, checked, rule.family.all_subsets)
 
@@ -793,40 +785,32 @@ def check_warp(corr: ChoiceCorrespondence) -> AxiomReport:
     Witness layout: sets = (B, A), elements = (), lhs/rhs = None; the detail
     string spells out Γ(B) against Γ(A) ∩ B.
     """
-    family = corr.family
-    universe = family.universe
-    masks: list[int] = []
-    gammas: list[int] = []
-    for A in family:
-        mask = 0
-        for a in A:
-            mask |= 1 << universe.index(a)
-        masks.append(mask)
-        gmask = 0
-        for a in corr.gamma(A):
-            gmask |= 1 << universe.index(a)
-        gammas.append(gmask)
+    pairs = _NestedPairs(corr.family)
+    return _warp_scan(pairs, [pairs.mask(corr.table[A].members) for A in pairs.sets])
+
+
+def _warp_scan(pairs: _NestedPairs, gammas: list[int]) -> AxiomReport:
+    """WARP over the nested pairs of a family, Γ given as one bitmask per set."""
+    masks, sets, members = pairs.masks, pairs.sets, pairs.members
     out = _Collector()
     checked = 0
-    for iB, iA in _NestedPairs(masks):
+    for iB, iA in pairs:
         cut = gammas[iA] & masks[iB]
         if cut == 0:
             continue
         checked += 1
         if gammas[iB] == cut:
             continue
-        B, A = family.sets[iB], family.sets[iA]
-        chosen_B, chosen_A = corr.gamma(B), corr.gamma(A)
-        cut_set = ChoiceSet(a for a in chosen_A if a in B)
-        out.add(lambda B=B, A=A, chosen_B=chosen_B, cut_set=cut_set: Witness(
+        B, A = sets[iB], sets[iA]
+        out.add(lambda B=B, A=A, chosen_B=gammas[iB], cut=cut: Witness(
             axiom=Axiom.WARP,
             sets=(B, A),
             elements=(),
             lhs=None,
             rhs=None,
-            detail=f"Γ({B})={chosen_B} but Γ({A})∩{B}={cut_set}",
+            detail=f"Γ({B})={members(chosen_B)} but Γ({A})∩{B}={members(cut)}",
         ))
-    return out.report(Axiom.WARP, checked, family.all_subsets)
+    return out.report(Axiom.WARP, checked, pairs.family.all_subsets)
 
 
 def check_renyi_conditioning(
@@ -864,8 +848,9 @@ def check_renyi_conditioning(
 def _check_support_warp(
     rule: RandomChoiceRule, *, eps: float | None = None, _view: _RuleView | None = None
 ) -> AxiomReport:
-    """WARP of the rule's support correspondence; ``eps`` plays no part."""
-    return check_warp(support_correspondence(rule))
+    """WARP of the rule's support, read off the view's rows at the rule's own eps."""
+    view = _view or _RuleView(rule)
+    return _warp_scan(view.pairs, view.support_masks(0 if view.exact else rule.eps))
 
 
 # One entry per axiom, in report order; every rule-level checker call goes

@@ -217,8 +217,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     data = read_document(args.dataset, kind="dataset")
     try:
         result = run_fit(data, pseudo_count=args.pseudo_count)
-    except ValueError as exc:
-        raise DocumentError(f"bad --pseudo-count: {exc}") from exc
+    except ValueError as exc:  # a pseudo-count or counts past the float range
+        raise DocumentError(str(exc)) from exc
     _emit(args, result)
     return 0 if result.alpha_hat is not None else 1
 

@@ -26,6 +26,7 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
+    correspondence_from_order,
     maximizers,
     support_correspondence,
     within_tolerance,
@@ -140,7 +141,7 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
     choice axiom will never see it fire.
     """
     order = revealed_order(rule)
-    gamma = support_correspondence(rule)
+    gamma = correspondence_from_order(order, rule.family)  # the support, as revealed_order found
     v = recover_v(rule, order)
     weights = LuceWeights(rule.universe, v)
     tol = 0.0 if rule.mode == EXACT else rule.eps

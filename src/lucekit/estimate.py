@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -234,11 +235,12 @@ def fit_alpha_mle(
     count must lie inside it. ``pseudo_count`` is added to every in-support
     cell before fitting (off by default so supports mean positive
     frequency); it must be a finite nonnegative real that keeps the
-    log-likelihood finite, else ``ValueError``. Alternatives outside every
-    observed support are reported with α̂ = 0 but are not identified by the
-    data. ``_warp_report``, when given, is ``check_warp(gamma)`` already
-    computed by the caller. Each likelihood, gradient and Hessian
-    evaluation is one vectorized pass over the supports laid end to end.
+    log-likelihood finite, else ``ValueError``, and so must the counts.
+    Alternatives outside every observed support are reported with α̂ = 0
+    but are not identified by the data. ``_warp_report``, when given, is
+    ``check_warp(gamma)`` already computed by the caller. Each likelihood,
+    gradient and Hessian evaluation is one vectorized pass over the
+    supports laid end to end.
     """
     import numpy as np
 
@@ -253,6 +255,12 @@ def fit_alpha_mle(
         0 <= pseudo_count < math.inf
     ):
         raise ValueError(f"pseudo-count must be a finite nonnegative number, got {pseudo_count!r}")
+    total = sum(sum(row.values()) for row in data.observations.values())
+    # The log-likelihood rises from −Σ_A n_A·ln|Γ(A)| ≥ −total·ln(max |Γ(A)|).
+    if total > sys.float_info.max / max(1.0, *(math.log(len(G)) for G in gamma.table.values())):
+        from decimal import Decimal
+
+        raise ValueError(f"choice counts totalling {Decimal(total):.3e} overflow the float fit")
 
     components = _components(gamma)
     fitted = [a for group in components for a in group]

@@ -22,6 +22,7 @@ from lucekit import (
     ChoiceSet,
     FamilySizeError,
     RandomChoiceRule,
+    Universe,
     WITNESS_CAP,
     check_all,
     check_choice_axiom,
@@ -40,7 +41,9 @@ from lucekit import (
     support_correspondence,
     write_document,
 )
+from lucekit import axioms
 from lucekit.cli import main
+from lucekit.core import within_tolerance
 from lucekit.documents import encode_axiom_report
 
 import helpers
@@ -194,6 +197,7 @@ class TestMatchesOracle:
 
 PAIR_CHECKERS = [
     Axiom.CHOICE_AXIOM,
+    Axiom.ODDS_INDEPENDENCE,
     Axiom.PRODUCT_RULE,
     Axiom.SET_CHOICE_AXIOM,
     Axiom.SET_INTERSECTION_RULE,
@@ -226,7 +230,8 @@ def nested_float_rule(rng: random.Random, eps: float):
 
     The outer menu A is the whole universe and B ⊂ A has 8 or 9 members, so
     the mass p(B, A) sums at least 8 terms (where a pairwise sum would round
-    differently from a left-to-right one). Returns the rule, A, B.
+    differently from a left-to-right one). Returns the rule, A, B and the
+    family's one pair.
     """
     universe = helpers.universe_of(rng.randint(9, 10))
     A = ChoiceSet(universe.alternatives)
@@ -235,7 +240,7 @@ def nested_float_rule(rng: random.Random, eps: float):
     pair = ChoiceSet(rng.sample(universe.alternatives, 2))
     family = ChoiceFamily(universe, {A, B, C, pair})
     rule = luce_rule(helpers.random_rational_weights(universe, rng), family)
-    return rule.as_float(eps), A, B
+    return rule.as_float(eps), A, B, pair
 
 
 def with_cell(rule, A, x, y, v):
@@ -268,8 +273,9 @@ class TestFloatPass:
     )
     def test_one_ulp_around_the_tolerance_boundary(self, axiom, seed, eps):
         rng = random.Random(seed)
-        rule, A, B = nested_float_rule(rng, eps)
-        x = rng.choice(B.members)
+        rule, A, B, pair = nested_float_rule(rng, eps)
+        # Odds independence compares A with the pair only.
+        x = rng.choice((pair if axiom == Axiom.ODDS_INDEPENDENCE else B).members)
         y = max((a for a in A if a != x), key=lambda a: rule.p(a, A))
         checker, reference = RULE_CHECKERS[axiom]
         v0 = rule.p(x, A)
@@ -281,6 +287,35 @@ class TestFloatPass:
         for v in (_float(_bits(lo) - 1), lo, hi, _float(_bits(hi) + 1)):
             moved = with_cell(rule, A, x, y, v)
             assert outcome(checker, moved) == outcome(reference, moved), v
+
+    def test_odds_operand_order_at_the_tolerance_boundary(self):
+        # p(a, P)·p(b, A) and p(b, P)·p(a, A) sit where the rounded tolerance
+        # 1 + |l| + |r| depends on which side comes first: the scalar order
+        # fails, the swapped one passes, so an array pass in the swapped
+        # order would miss the pair. Found by bisecting p(b, A).
+        x, y, z, eps = 0.6222341678027192, 0.4246719226429838, 0.25994830547319725, 1e-3
+        lhs, rhs = x * z, (1 - x) * y
+        assert not within_tolerance(lhs, rhs, eps) and within_tolerance(rhs, lhs, eps)
+        P, A = ChoiceSet("ab"), ChoiceSet("abc")
+        table = {P: {"a": x, "b": 1 - x}, A: {"a": y, "b": z, "c": 1 - y - z}}
+        rule = RandomChoiceRule(ChoiceFamily(Universe("abc"), [P, A]), table, mode="float", eps=eps)
+        report = outcome(check_odds_independence, rule)
+        assert report == outcome(oracle.check_odds_independence, rule)
+        assert not check_odds_independence(rule).holds
+
+    def test_warp_reads_the_support_at_the_rule_eps(self):
+        # p(c, abc) lies between the rule's eps and the override, so the
+        # support at the override drops c from abc but not from bc.
+        family = ChoiceFamily(Universe("abc"), [ChoiceSet("bc"), ChoiceSet("abc")])
+        table = {
+            ChoiceSet("bc"): {"b": 0.5, "c": 0.5},
+            ChoiceSet("abc"): {"a": 0.5, "b": 0.4995, "c": 0.0005},
+        }
+        rule = RandomChoiceRule(family, table, mode="float", eps=1e-9)
+        ours, reference = check_all(rule, eps=1e-3), oracle.check_all(rule, eps=1e-3)
+        assert ours[Axiom.WARP].holds
+        assert not oracle.check_warp(support_correspondence(rule.as_float(1e-3))).holds
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -317,6 +352,32 @@ class TestFloatPass:
         if not kind.startswith("wide"):  # check_all needs |X| <= MAX_ENUM_UNIVERSE
             ours, reference = check_all(rule, eps=eps), oracle.check_all(rule, eps=eps)
             assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+
+class TestOneIndexPerRule:
+    @pytest.mark.parametrize("as_float", [False, True])
+    def test_check_all_builds_one_nested_pair_index(self, monkeypatch, as_float):
+        rng = random.Random(5)
+        rule = helpers.perturb_rule(helpers.random_synthesized_rule(5, rng), rng)
+        if as_float:
+            rule = rule.as_float()
+        reference = oracle.check_all(rule)
+        built = []
+
+        class Counted(axioms._NestedPairs):
+            def __init__(self, family):
+                built.append(family)
+                super().__init__(family)
+
+        def refuse(*args):
+            raise AssertionError("check_all must read WARP off its own view")
+
+        monkeypatch.setattr(axioms, "_NestedPairs", Counted)
+        monkeypatch.setattr(axioms, "support_correspondence", refuse)
+        monkeypatch.setattr(axioms, "check_warp", refuse)
+        ours = check_all(rule)
+        assert built == [rule.family]
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
 
 
 class TestWarpMatchesOracle:

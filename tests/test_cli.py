@@ -32,6 +32,7 @@ from lucekit.cli import main
 import helpers
 from test_axioms import bad_rule
 from test_documents import VALID, broken_document
+from test_estimate import OVERSIZED_COUNTS
 
 EQUIVALENTS_CSV = (
     "choice-axiom,odds-independence,product-rule,"
@@ -353,6 +354,12 @@ class TestSimulateAndFit:
         assert code == 0
         assert json.loads(out)["payload"]["stop_reason"] == "ll-tol"
 
+    @pytest.mark.parametrize("name", sorted(OVERSIZED_COUNTS))
+    def test_fit_oversized_counts_do_not_blame_the_flag(self, work, capsys, name):
+        code, out, err = run(["fit", _counts_file(work, name)], capsys)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("lucekit: choice counts") and "--pseudo-count" not in err
+
 
 class TestLimit:
     def test_converged_schedule_exits_zero(self, work, capsys):
@@ -418,6 +425,17 @@ def _other_gamma(work):
     path = work["dir"] / "other_gamma.json"
     gamma = correspondence_from_order(WeakOrder.trivial(u), ChoiceFamily.of_all_subsets(u))
     write_document(str(path), gamma)
+    return path
+
+
+def _counts_file(work, name):
+    path = work["dir"] / f"{name}.json"
+    observations = [{"set": ["a", "b"], "counts": OVERSIZED_COUNTS[name]}]
+    path.write_text(json.dumps({
+        "kind": "dataset",
+        "version": "1",
+        "payload": {"universe": ["a", "b"], "observations": observations},
+    }))
     return path
 
 
@@ -489,6 +507,10 @@ MALFORMED_INPUTS = {
     "tolerance-negative": (_limit_tolerance("-1"), "tolerance"),
     "tolerance-nan": (_limit_tolerance("nan"), "tolerance"),
     "tolerance-inf": (_limit_tolerance("inf"), "tolerance"),
+    **{
+        f"fit-{name}": (lambda w, name=name: ["fit", _counts_file(w, name)], "choice counts")
+        for name in OVERSIZED_COUNTS
+    },
 }
 
 

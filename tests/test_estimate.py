@@ -496,3 +496,31 @@ class TestPseudoCount:
         assert res.converged and res.stop_reason == "ll-tol"
         want = math.log((60 + float(good)) / (30 + float(good)))
         assert res.alpha_hat["b"] == pytest.approx(want, abs=1e-8)
+
+
+# Counts a float fit cannot hold: one past the float range, and two whose
+# total is past it.
+OVERSIZED_COUNTS = {
+    "count-past-float-range": {"a": 10**400, "b": 1},
+    "total-past-float-range": {"a": 10**308, "b": 10**308},
+}
+
+
+class TestOversizedCounts:
+    @pytest.mark.parametrize("case", sorted(OVERSIZED_COUNTS))
+    @pytest.mark.parametrize("pseudo", [0.0, 0.5])
+    def test_refused_naming_the_counts(self, case, pseudo):
+        data = _dataset(Universe("ab"), {"ab": OVERSIZED_COUNTS[case]})
+        gamma = ChoiceCorrespondence(data.family, {A: A for A in data.family})
+        for call in (
+            lambda: fit(data, pseudo_count=pseudo),
+            lambda: fit_alpha_mle(data, gamma, pseudo_count=pseudo),
+        ):
+            with pytest.raises(ValueError, match="choice counts totalling") as err:
+                call()
+            assert "pseudo-count" not in str(err.value)
+
+    def test_large_counts_within_range_still_fit(self):
+        data = _dataset(Universe("ab"), {"ab": {"a": 10**307, "b": 10**307}})
+        res = fit(data)
+        assert res.converged and res.alpha_hat == {"a": 0.0, "b": 0.0}
