@@ -36,7 +36,23 @@ whose residuals all vanish satisfies every instance (odds independence
 too: p(·, B) is then proportional to p(·, A) on B, so the odds agree or the
 right side is 0/0 and skipped). Such a pair only adds its closed-form
 instance count; the per-instance scan runs on the other pairs alone, so
-verdicts, counts and witnesses match a full scan.
+verdicts, counts and witnesses match a full scan. The same walk reads WARP
+off the support: the pairs where supp p_A ∩ B is nonempty, and those where
+supp p_B differs from it.
+
+On a complete family an exact rule first tries a certificate, which is the
+source paper's theorem used as the algorithm: a rule satisfies the choice
+axiom exactly when it is ``general_luce_rule(Γ, v)`` with Γ the maximizers
+of a weak order. :meth:`_RuleView.certificate` ranks each alternative by
+the number of pairs where its numerator is 0, requires every support to be
+the maximizers Γ(A) of that rank, recovers v as odds against each class's
+lowest-index member (scaled to integers w by one lcm), and checks every
+cell as N_A[j]·Σ_{Γ(A)} w = w_j·D_A, in O(|F|·n) rather than Σ_A 2^|A|.
+A match is sound on its own, because it checks every cell: the rule then
+is that Luce rule, so every residual vanishes and its support is WARP. The
+instance counts then follow in closed form from the sizes |A| and |Γ(A)|.
+The theorem is what makes every holding rule match. On a mismatch, and on
+every partial family, the pair walk runs as above.
 
 Float mode cannot use residuals, since tolerances do not add up linearly, so
 it compares every instance, but in numpy: the view gathers p(j, A) and
@@ -181,6 +197,15 @@ class _NestedPairs:
     def canonical(masks: Iterable[int]) -> list[int]:
         """``masks`` by size, then labels (labels are sorted, so bit positions order them)."""
         return sorted(masks, key=lambda m: (m.bit_count(), tuple(_iter_bits(m))))
+
+    @staticmethod
+    def every_mask(n: int) -> Iterator[int]:
+        """Every nonempty mask over ``n`` bits in canonical order, generated lazily."""
+        from itertools import combinations
+
+        bits = [1 << j for j in range(n)]
+        for k in range(1, n + 1):
+            yield from map(sum, combinations(bits, k))
 
     def subsets_of(self, iA: int) -> list[int]:
         """Family indices of the proper subsets of set ``iA``, ascending."""
@@ -349,7 +374,7 @@ class _RuleView:
             self.dens.append(den)
             self.nums.append(num)
         self._sums: dict[int, dict[int, Value]] = {}
-        self._split: tuple[list[tuple[int, int]], _PairShares] | None = None
+        self._split: _Split | None = None
         # Float mode: the nested pairs as arrays, the failing pairs per axiom
         # and the instance counts, each built on first use.
         self._pairs_np: _FloatPairs | None = None
@@ -395,7 +420,7 @@ class _RuleView:
         way the pairs come in the order of a full scan.
         """
         if self.exact:
-            yield from self._residual_split()[0]
+            yield from self._residual_split().failing
             return
         pairs = self._float_pairs()
         if axiom == Axiom.SET_INTERSECTION_RULE:
@@ -414,7 +439,7 @@ class _RuleView:
     def shares(self) -> _PairShares:
         """Instance counts over all nested pairs, which checkers credit in bulk."""
         if self.exact:
-            return self._residual_split()[1]
+            return self._residual_split().shares
         if self._shares is None:
             import numpy as np
 
@@ -492,31 +517,133 @@ class _RuleView:
             for mask, num in zip(self.masks, self.nums)
         ]
 
-    def _residual_split(self) -> tuple[list[tuple[int, int]], _PairShares]:
-        """One residual pass: the failing pairs in order, and the pair shares."""
-        if self._split is not None:
-            return self._split
+    def certificate(self) -> list[int] | None:
+        """Γ as one bitmask per set, when the rule is ``general_luce_rule(Γ, v)``.
+
+        Exact mode on a complete family only (else None). The alternatives are
+        ranked by the number of pairs where their numerator is 0, Γ(A) is the
+        members of A with the least such count, and v is each alternative's
+        binary odds against the lowest-index member of its class, scaled to
+        integers w by one lcm. The certificate holds when every support mask
+        is Γ(A) and every cell satisfies N_A[j]·Σ_{Γ(A)} w = w_j·D_A; any
+        mismatch returns None.
+        """
+        if not (self.exact and self.pairs.family.all_subsets):
+            return None
+        nums, dens, masks, index = self.nums, self.dens, self.masks, self.pairs.index
+        beaten = [0] * self.n
+        for mask, num in zip(masks, nums):
+            if mask.bit_count() == 2:
+                for j in _iter_bits(mask):
+                    beaten[j] += num[j] == 0
+        rep: dict[int, int] = {}  # rank -> lowest-index member of its class
+        ratios: list[tuple[int, int]] = []  # v_j as (numerator, denominator)
+        for j, rank in enumerate(beaten):
+            r = rep.setdefault(rank, j)
+            if r == j:
+                ratios.append((1, 1))
+                continue
+            num = nums[index[(1 << j) | (1 << r)]]
+            if num[j] == 0 or num[r] == 0:
+                return None  # tied alternatives must share their pair
+            g = math.gcd(num[j], num[r])
+            ratios.append((num[j] // g, num[r] // g))
+        scale = math.lcm(*(b for _, b in ratios))
+        w = [a * (scale // b) for a, b in ratios]
+        gammas = []
+        for mask, num, den in zip(masks, nums, dens):
+            bits = list(_iter_bits(mask))
+            top = min(beaten[j] for j in bits)
+            gamma, total = 0, 0
+            for j in bits:
+                if beaten[j] == top:
+                    if num[j] == 0:
+                        return None
+                    gamma |= 1 << j
+                    total += w[j]
+                elif num[j]:
+                    return None
+            for j in _iter_bits(gamma):
+                if num[j] * total != w[j] * den:
+                    return None
+            gammas.append(gamma)
+        return gammas
+
+    def _residual_split(self) -> "_Split":
+        """The exact pair walk's results: the certificate's when it holds."""
+        if self._split is None:
+            gammas = self.certificate()
+            self._split = (
+                self._residual_pass() if gammas is None else _certified_split(self.masks, gammas, self.n)
+            )
+        return self._split
+
+    def _residual_pass(self) -> "_Split":
+        """One walk over the nested pairs: residuals, pair shares and WARP together."""
         nums, dens, masks = self.nums, self.dens, self.masks
         bits = [list(_iter_bits(m)) for m in masks]
         support = self.support_masks(0)
         failing: list[tuple[int, int]] = []
+        warp_failing: list[tuple[int, int]] = []
         per_size = [0] * (self.n + 1)
-        supported = odds = 0
+        supported = odds = warp_checked = 0
+        subsets_of = self.pairs.subsets_of
         for iA, num_A in enumerate(nums):
             support_A = support[iA]
-            for iB in self.pairs.subsets_of(iA):
+            of_A = num_A.__getitem__
+            for iB in subsets_of(iA):
                 num_B, den_B, bits_B = nums[iB], dens[iB], bits[iB]
-                mass_AB = sum(num_A[j] for j in bits_B)
+                mass_AB = sum(map(of_A, bits_B))
                 for j in bits_B:
                     if num_A[j] * den_B != num_B[j] * mass_AB:
                         failing.append((iB, iA))
                         break
                 per_size[len(bits_B)] += 1
-                hits = (support_A & masks[iB]).bit_count()
-                supported += hits
-                odds += hits > 0 and len(bits_B) == 2
-        self._split = (failing, _PairShares.from_sizes(per_size, supported, odds))
-        return self._split
+                cut = support_A & masks[iB]
+                if cut:
+                    supported += cut.bit_count()
+                    odds += len(bits_B) == 2
+                    warp_checked += 1
+                    if support[iB] != cut:
+                        warp_failing.append((iB, iA))
+        shares = _PairShares.from_sizes(per_size, supported, odds)
+        return _Split(failing, shares, support, warp_checked, warp_failing)
+
+
+class _Split(NamedTuple):
+    """Exact mode: what one walk over the nested pairs finds."""
+
+    failing: list[tuple[int, int]]  # pairs with a nonzero residual, in scan order
+    shares: _PairShares
+    support: list[int]  # supp p_A per set, as a bitmask
+    warp_checked: int  # pairs whose cut supp p_A ∩ B is nonempty
+    warp_failing: list[tuple[int, int]]  # of those, where supp p_B differs from the cut
+
+
+def _certified_split(masks: list[int], gammas: list[int], n: int) -> _Split:
+    """The split of a certified rule on a complete family: every residual is 0.
+
+    The counts come in closed form from the histogram of (|A|, |Γ(A)|) = (k, g).
+    A k-set has C(k, b) proper subsets of size b; j ∈ Γ(A) lies in
+    2^(k−1) − 1 of them; C(k, 2) − C(k − g, 2) of its 2-subsets meet Γ(A)
+    (k ≥ 3); and a proper subset misses Γ(A) only inside A − Γ(A), which leaves
+    2^k − 2^(k−g) − 1 WARP instances, all holding since the support is Γ.
+    """
+    histogram: dict[tuple[int, int], int] = {}
+    for mask, gamma in zip(masks, gammas):
+        key = (mask.bit_count(), gamma.bit_count())
+        histogram[key] = histogram.get(key, 0) + 1
+    per_size = [0] * (n + 1)
+    supported = odds = warp_checked = 0
+    for (k, g), count in histogram.items():
+        for b in range(1, k):
+            per_size[b] += count * math.comb(k, b)
+        supported += count * g * ((1 << (k - 1)) - 1)
+        if k >= 3:
+            odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
+        warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
+    shares = _PairShares.from_sizes(per_size, supported, odds)
+    return _Split([], shares, gammas, warp_checked, [])
 
 
 class _Collector:
@@ -700,15 +827,12 @@ def check_set_intersection_rule(
         )
     view = _view or _RuleView(rule, eps)
     out = _Collector()
-    universe_masks: list[int] | None = None  # every Y, in canonical order
     for iB, iA in view.scan_pairs(Axiom.SET_INTERSECTION_RULE, out):
         mB = view.masks[iB]
         failing = set(_failing_subsets(view, iB, iA))
         total = len(failing) << (n - mB.bit_count())
         out.count += total
-        if universe_masks is None:
-            universe_masks = view.pairs.canonical(range(1, 1 << n))
-        named = (mY for mY in universe_masks if mY & mB in failing)
+        named = (mY for mY in view.pairs.every_mask(n) if mY & mB in failing)
         for mY in islice(named, min(total, WITNESS_CAP - len(out.witnesses))):
             Y, B, A = view.pairs.members(mY), view.sets[iB], view.sets[iA]
             inter = [y for y in Y if y in B]
@@ -791,18 +915,28 @@ def check_warp(corr: ChoiceCorrespondence) -> AxiomReport:
 
 def _warp_scan(pairs: _NestedPairs, gammas: list[int]) -> AxiomReport:
     """WARP over the nested pairs of a family, Γ given as one bitmask per set."""
-    masks, sets, members = pairs.masks, pairs.sets, pairs.members
-    out = _Collector()
+    masks = pairs.masks
+    failing: list[tuple[int, int]] = []
     checked = 0
     for iB, iA in pairs:
         cut = gammas[iA] & masks[iB]
         if cut == 0:
             continue
         checked += 1
-        if gammas[iB] == cut:
-            continue
+        if gammas[iB] != cut:
+            failing.append((iB, iA))
+    return _warp_report(pairs, gammas, failing, checked)
+
+
+def _warp_report(
+    pairs: _NestedPairs, gammas: list[int], failing: list[tuple[int, int]], checked: int
+) -> AxiomReport:
+    """The WARP report from its failing pairs, in scan order, and its instance count."""
+    masks, sets, members = pairs.masks, pairs.sets, pairs.members
+    out = _Collector()
+    for iB, iA in failing:
         B, A = sets[iB], sets[iA]
-        out.add(lambda B=B, A=A, chosen_B=gammas[iB], cut=cut: Witness(
+        out.add(lambda B=B, A=A, chosen_B=gammas[iB], cut=gammas[iA] & masks[iB]: Witness(
             axiom=Axiom.WARP,
             sets=(B, A),
             elements=(),
@@ -848,9 +982,16 @@ def check_renyi_conditioning(
 def _check_support_warp(
     rule: RandomChoiceRule, *, eps: float | None = None, _view: _RuleView | None = None
 ) -> AxiomReport:
-    """WARP of the rule's support, read off the view's rows at the rule's own eps."""
+    """WARP of the rule's support, read off the view's rows at the rule's own eps.
+
+    Exact mode takes the failing pairs and the count from the view's one
+    pair walk (or its certificate); float mode scans the pairs.
+    """
     view = _view or _RuleView(rule)
-    return _warp_scan(view.pairs, view.support_masks(0 if view.exact else rule.eps))
+    if view.exact:
+        split = view._residual_split()
+        return _warp_report(view.pairs, split.support, split.warp_failing, split.warp_checked)
+    return _warp_scan(view.pairs, view.support_masks(rule.eps))
 
 
 # One entry per axiom, in report order; every rule-level checker call goes

@@ -298,7 +298,12 @@ class RandomChoiceRule:
         return ChoiceSet(a for a, v in row.items() if self.is_positive(v))
 
     def as_float(self, eps: float | None = None) -> "RandomChoiceRule":
-        """Float-mode copy (exact values converted); no-op on float rules."""
+        """Float-mode copy with tolerance ``eps`` (default: the rule's own).
+
+        Exact values are converted to floats. A float rule is copied with the
+        new ``eps``, so the copy's support and checker verdicts can differ
+        from the original's.
+        """
         tol = self.eps if eps is None else eps
         table = {A: {a: float(v) for a, v in row.items()} for A, row in self.table.items()}
         return RandomChoiceRule(self.family, table, mode=FLOAT, eps=tol)

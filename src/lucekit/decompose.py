@@ -26,7 +26,6 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
-    correspondence_from_order,
     maximizers,
     support_correspondence,
     within_tolerance,
@@ -78,6 +77,11 @@ def revealed_order(rule: RandomChoiceRule) -> WeakOrder:
     can only disagree on a pair, and pairs come first in family order, so
     the first mismatch found is that pair.
     """
+    return _revealed(rule)[0]
+
+
+def _revealed(rule: RandomChoiceRule) -> tuple[WeakOrder, dict[ChoiceSet, ChoiceSet]]:
+    """:func:`revealed_order` and the maximizers its support test computed, per set."""
     if not rule.family.contains_all_pairs():
         raise MissingPairsError("revealed order needs every pair in the family")
     beaten = dict.fromkeys(rule.universe, 0)  # alternatives strictly better than each
@@ -87,8 +91,10 @@ def revealed_order(rule: RandomChoiceRule) -> WeakOrder:
                 if not rule.is_positive(rule.p(a, P)):
                     beaten[a] += 1
     order = WeakOrder(rule.universe, beaten)
+    gamma: dict[ChoiceSet, ChoiceSet] = {}
     for A in rule.family:
-        if rule.support(A) != maximizers(order, A):
+        gamma[A] = maximizers(order, A)
+        if rule.support(A) != gamma[A]:
             warp = check_warp(support_correspondence(rule))
             if not warp.holds:
                 raise NotRationalError(
@@ -98,7 +104,7 @@ def revealed_order(rule: RandomChoiceRule) -> WeakOrder:
                 f"binary supports are not consistent with any weak order "
                 f"(first mismatch at {A})"
             )
-    return order
+    return order, gamma
 
 
 def recover_v(rule: RandomChoiceRule, order: WeakOrder) -> dict[str, Value]:
@@ -140,8 +146,8 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
     product structure only on larger sets; callers that already verified the
     choice axiom will never see it fire.
     """
-    order = revealed_order(rule)
-    gamma = correspondence_from_order(order, rule.family)  # the support, as revealed_order found
+    order, chosen = _revealed(rule)
+    gamma = ChoiceCorrespondence(rule.family, chosen)  # the support, as the order's maximizers
     v = recover_v(rule, order)
     weights = LuceWeights(rule.universe, v)
     tol = 0.0 if rule.mode == EXACT else rule.eps

@@ -24,6 +24,7 @@ from lucekit import (
     RandomChoiceRule,
     Universe,
     WITNESS_CAP,
+    WeakOrder,
     check_all,
     check_choice_axiom,
     check_full_support,
@@ -421,3 +422,115 @@ class TestCliOrder:
         reference = oracle.check_all(rule)
         order = [a for a in Axiom if a != Axiom.WARP] + [Axiom.WARP]
         assert out == encoded([reference[a] for a in order], rule)
+
+
+def holding_rule(n: int, seed: int, selective: bool):
+    """An exact general Luce rule on all subsets of n alternatives."""
+    rng = random.Random(seed)
+    return make_rule(rng, ChoiceFamily.of_all_subsets(helpers.universe_of(n)), selective, False)
+
+
+def count_walks(monkeypatch) -> list:
+    """Record every call of the nested-pair walk ``_NestedPairs.subsets_of``."""
+    calls = []
+    real = axioms._NestedPairs.subsets_of
+
+    def counting(self, iA):
+        calls.append(iA)
+        return real(self, iA)
+
+    monkeypatch.setattr(axioms._NestedPairs, "subsets_of", counting)
+    return calls
+
+
+def without_certificate(monkeypatch, rule) -> str:
+    with monkeypatch.context() as m:
+        m.setattr(axioms._RuleView, "certificate", lambda self: None)
+        return encoded(list(check_all(rule).values()))
+
+
+def near_miss(rule, kind: str, rng: random.Random):
+    """``rule`` with one row changed just off the general Luce form.
+
+    ``shift`` moves 1/97 of one supported member's mass to another, ``cut``
+    gives a supported member's whole mass to another, and ``swap`` moves a
+    maximizer's mass onto a non-maximizer, whose zero it takes.
+    """
+    table = {A: dict(rule.row(A)) for A in rule.family}
+    support = {A: [a for a in A if table[A][a] > 0] for A in rule.family}
+    if kind == "swap":
+        A = rng.choice([A for A in rule.family if len(support[A]) < len(A)])
+        x = rng.choice(support[A])
+        y = rng.choice([a for a in A if table[A][a] == 0])
+        table[A][x], table[A][y] = table[A][y], table[A][x]
+    else:
+        A = rng.choice([A for A in rule.family if len(support[A]) >= 2])
+        x, y = rng.sample(support[A], 2)
+        delta = table[A][x] / 97 if kind == "shift" else table[A][x]
+        table[A][x] -= delta
+        table[A][y] += delta
+    return RandomChoiceRule(rule.family, table, mode="exact")
+
+
+class TestCertificate:
+    """Holding exact rules on complete families are decided without the pair walk."""
+
+    @pytest.mark.parametrize("selective", [False, True])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_holding_rules_skip_the_walk(self, monkeypatch, n, selective):
+        rule = holding_rule(n, 100 + n, selective)
+        calls = count_walks(monkeypatch)
+        ours = check_all(rule)
+        assert calls == []
+        assert all(r.holds for a, r in ours.items() if a not in (Axiom.POSITIVITY, Axiom.FULL_SUPPORT))
+        assert encoded(list(ours.values())) == without_certificate(monkeypatch, rule)
+        assert len(calls) == len(rule.family)  # the fallback walks every set
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n=st.integers(min_value=1, max_value=6),
+        selective=st.booleans(),
+    )
+    def test_hypothesis_rules_match_the_walk_and_the_oracle(self, seed, n, selective):
+        rule = holding_rule(n, seed, selective)
+        assert axioms._RuleView(rule).certificate() is not None
+        with pytest.MonkeyPatch.context() as m:
+            calls = count_walks(m)
+            ours = encoded(list(check_all(rule).values()))
+            assert calls == []
+            assert ours == without_certificate(m, rule)
+        assert ours == encoded(list(oracle.check_all(rule).values()))
+
+    @pytest.mark.parametrize("kind", ["shift", "cut", "swap"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_near_misses_fall_back_and_match_the_oracle(self, kind, seed):
+        rng = random.Random(seed)
+        universe = helpers.universe_of(5)
+        order = WeakOrder.from_classes(universe, [["b", "d"], ["a", "c", "e"]])
+        gamma = correspondence_from_order(order, ChoiceFamily.of_all_subsets(universe))
+        rule = near_miss(general_luce_rule(gamma, helpers.random_rational_weights(universe, rng)), kind, rng)
+        assert axioms._RuleView(rule).certificate() is None
+        ours, reference = check_all(rule), oracle.check_all(rule)
+        assert not ours[Axiom.CHOICE_AXIOM].holds
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+    def test_partial_families_and_float_rules_have_none(self):
+        rng = random.Random(7)
+        partial = make_rule(rng, partial_family(rng), True, False)
+        complete = holding_rule(4, 7, True)
+        assert axioms._RuleView(partial).certificate() is None
+        assert axioms._RuleView(complete.as_float()).certificate() is None
+        assert axioms._RuleView(complete).certificate() is not None
+
+    @pytest.mark.parametrize("selective", [False, True])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_closed_form_counts_equal_the_walk(self, n, selective):
+        view = axioms._RuleView(holding_rule(n, 200 + n, selective))
+        gammas = view.certificate()
+        assert gammas == view.support_masks(0)
+        assert axioms._certified_split(view.masks, gammas, view.n) == view._residual_pass()
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_every_mask_is_the_canonical_order(self, n):
+        assert list(axioms._NestedPairs.every_mask(n)) == axioms._NestedPairs.canonical(range(1, 1 << n))

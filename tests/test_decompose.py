@@ -148,6 +148,24 @@ class TestRoundTrips:
             revealed_order(cyclic_rule())
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_maximizers_are_computed_once_per_set(self, monkeypatch, n):
+        decompose_module = sys.modules["lucekit.decompose"]
+        rule = helpers.random_synthesized_rule(n, random.Random(n))
+        calls = []
+        real = decompose_module.maximizers
+
+        def counting(order, A):
+            calls.append(A)
+            return real(order, A)
+
+        # correspondence_from_order looks maximizers up in core.
+        monkeypatch.setattr(decompose_module, "maximizers", counting)
+        monkeypatch.setattr(sys.modules["lucekit.core"], "maximizers", counting)
+        dec = decompose(rule)
+        assert calls == list(rule.family)  # one per set, from the support test
+        assert dec.gamma == support_correspondence(rule)
+
     def test_weights_pinned_per_class_not_globally(self):
         # Scaling one whole class leaves the rule unchanged; scaling a single
         # member inside a class changes it. That is exactly the uniqueness
