@@ -43,14 +43,12 @@ supp p_B differs from it.
 On a complete family an exact rule first tries a certificate, which is the
 source paper's theorem used as the algorithm: a rule satisfies the choice
 axiom exactly when it is ``general_luce_rule(Γ, v)`` with Γ the maximizers
-of a weak order. :meth:`_RuleView.certificate` ranks each alternative by
-the number of pairs where its numerator is 0, requires every support to be
-the maximizers Γ(A) of that rank, recovers v as odds against each class's
-lowest-index member (scaled to integers w by one lcm), and checks every
-cell as N_A[j]·Σ_{Γ(A)} w = w_j·D_A, in O(|F|·n) rather than Σ_A 2^|A|.
-A match is sound on its own, because it checks every cell: the rule then
-is that Luce rule, so every residual vanishes and its support is WARP. The
-instance counts then follow in closed form from the sizes |A| and |Γ(A)|.
+of a weak order. :meth:`_RuleView.luce_fit` reads the order, Γ and v off
+the pairs and compares every cell with that Luce rule by integer
+cross-multiplication, in O(|F|·n) rather than Σ_A 2^|A|; ``decompose``
+takes its order, Γ and v from the same fit. A match is sound on its own,
+since it checks every cell: every residual then vanishes, the support is
+WARP, and the instance counts follow in closed form from |A| and |Γ(A)|.
 The theorem is what makes every holding rule match. On a mismatch, and on
 every partial family, the pair walk runs as above.
 
@@ -70,7 +68,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from fractions import Fraction
+from itertools import chain, compress, islice, repeat
+from operator import lt
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .core import (
@@ -511,63 +511,64 @@ class _RuleView:
         return found
 
     def support_masks(self, floor: Value) -> list[int]:
-        """Per set A, the bitmask of the members j with p(j, A) > ``floor``."""
-        return [
-            sum(1 << j for j in _iter_bits(mask) if num[j] > floor)
-            for mask, num in zip(self.masks, self.nums)
-        ]
+        """Per set A, the bitmask of the members j with p(j, A) > ``floor`` ≥ 0."""
+        bits = [1 << j for j in range(self.n)]
+        return [sum(compress(bits, map(lt, repeat(floor), num))) for num in self.nums]
+
+    def luce_fit(self) -> tuple[list[int], list[int], list[Value] | None, tuple | None]:
+        """How the rule fits ``general_luce_rule(Γ, v)``, Γ a weak order's maximizers.
+
+        Needs every pair in the family. Returns (ranks, Γ, v, misfit): an
+        alternative's rank is the number of pairs that give it no mass, Γ(A)
+        is the members of A of least rank, as one bitmask per set, and v is
+        the binary odds against the lowest-index member of the rank. The
+        misfit is (A, None) for the first set, in family order, whose support
+        is not Γ(A) (v is then None); else (A, j) for the first cell of a
+        Γ(A), in family and then member order, off the Luce rule; else None,
+        sets and members by index. Exact cells must satisfy
+        N_A[j]·Σ_{Γ(A)} w = w_j·D_A, w the v scaled to integers by one lcm;
+        float cells ``within_tolerance(v_j / Σ_{Γ(A)} v, p(j, A), eps)``, the
+        sum in label order. Cells off Γ(A) are 0 on both sides once supports match.
+        """
+        nums, n, index, exact, eps = self.nums, self.n, self.pairs.index, self.exact, self.eps
+        floor = 0 if exact else eps
+        ranks = [0] * n
+        for k in range(n):
+            for j in range(k):
+                num = nums[index[(1 << j) | (1 << k)]]
+                ranks[j] += num[j] <= floor
+                ranks[k] += num[k] <= floor
+        tiers: dict[int, int] = {}  # rank -> its alternatives, as a bitmask
+        for j, rank in enumerate(ranks):
+            tiers[rank] = tiers.get(rank, 0) | 1 << j
+        best_first = [tiers[rank] for rank in sorted(tiers)]
+        gammas = [next(mask & tier for tier in best_first if mask & tier) for mask in self.masks]
+        for i, (support, gamma) in enumerate(zip(self.support_masks(floor), gammas)):
+            if support != gamma:
+                return ranks, gammas, None, (i, None)
+        v: list[Value] = [Fraction(1) if exact else 1.0] * n
+        for tier in best_first:
+            r = (tier & -tier).bit_length() - 1  # the tier's lowest index
+            for j in _iter_bits(tier & (tier - 1)):
+                num = nums[index[(1 << j) | (1 << r)]]
+                v[j] = Fraction(num[j], num[r]) if exact else num[j] / num[r]
+        scale = math.lcm(*(x.denominator for x in v)) if exact else 1
+        w = [x.numerator * (scale // x.denominator) for x in v] if exact else v
+        for i, (gamma, num, den) in enumerate(zip(gammas, nums, self.dens)):
+            bits = list(_iter_bits(gamma))
+            total = sum(map(w.__getitem__, bits))
+            for j in bits:
+                if not (num[j] * total == w[j] * den if exact
+                        else within_tolerance(w[j] / total, num[j], eps)):
+                    return ranks, gammas, v, (i, j)
+        return ranks, gammas, v, None
 
     def certificate(self) -> list[int] | None:
-        """Γ as one bitmask per set, when the rule is ``general_luce_rule(Γ, v)``.
-
-        Exact mode on a complete family only (else None). The alternatives are
-        ranked by the number of pairs where their numerator is 0, Γ(A) is the
-        members of A with the least such count, and v is each alternative's
-        binary odds against the lowest-index member of its class, scaled to
-        integers w by one lcm. The certificate holds when every support mask
-        is Γ(A) and every cell satisfies N_A[j]·Σ_{Γ(A)} w = w_j·D_A; any
-        mismatch returns None.
-        """
+        """Γ per set when the rule is exact, the family complete and :meth:`luce_fit` fits."""
         if not (self.exact and self.pairs.family.all_subsets):
             return None
-        nums, dens, masks, index = self.nums, self.dens, self.masks, self.pairs.index
-        beaten = [0] * self.n
-        for mask, num in zip(masks, nums):
-            if mask.bit_count() == 2:
-                for j in _iter_bits(mask):
-                    beaten[j] += num[j] == 0
-        rep: dict[int, int] = {}  # rank -> lowest-index member of its class
-        ratios: list[tuple[int, int]] = []  # v_j as (numerator, denominator)
-        for j, rank in enumerate(beaten):
-            r = rep.setdefault(rank, j)
-            if r == j:
-                ratios.append((1, 1))
-                continue
-            num = nums[index[(1 << j) | (1 << r)]]
-            if num[j] == 0 or num[r] == 0:
-                return None  # tied alternatives must share their pair
-            g = math.gcd(num[j], num[r])
-            ratios.append((num[j] // g, num[r] // g))
-        scale = math.lcm(*(b for _, b in ratios))
-        w = [a * (scale // b) for a, b in ratios]
-        gammas = []
-        for mask, num, den in zip(masks, nums, dens):
-            bits = list(_iter_bits(mask))
-            top = min(beaten[j] for j in bits)
-            gamma, total = 0, 0
-            for j in bits:
-                if beaten[j] == top:
-                    if num[j] == 0:
-                        return None
-                    gamma |= 1 << j
-                    total += w[j]
-                elif num[j]:
-                    return None
-            for j in _iter_bits(gamma):
-                if num[j] * total != w[j] * den:
-                    return None
-            gammas.append(gamma)
-        return gammas
+        _, gammas, _, misfit = self.luce_fit()
+        return None if misfit else gammas
 
     def _residual_split(self) -> "_Split":
         """The exact pair walk's results: the certificate's when it holds."""

@@ -163,9 +163,8 @@ class ChoiceFamily:
     @classmethod
     def of_pairs(cls, universe: Universe) -> "ChoiceFamily":
         """All two-element sets plus the full universe."""
-        sets = [ChoiceSet(pair) for pair in itertools.combinations(universe, 2)]
-        sets.append(ChoiceSet(universe.alternatives))
-        return cls(universe, sets)
+        sets = {ChoiceSet(pair) for pair in itertools.combinations(universe, 2)}
+        return cls(universe, sets | {ChoiceSet(universe.alternatives)})
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -192,14 +191,20 @@ class ChoiceFamily:
         )
 
 
-def _as_exact(value: object, where: str) -> Fraction:
+def _as_exact(value: object, a: str, cs: ChoiceSet) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise ValueError(
-        f"exact rules need Fraction or int probabilities, got {type(value).__name__} {where}"
+        f"exact rules need Fraction or int probabilities, got {type(value).__name__} at ({a}, {cs})"
     )
+
+
+def _as_float(value: object, a: str, cs: ChoiceSet) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"float cells must be numbers, got {type(value).__name__} at ({a}, {cs})")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -239,7 +244,7 @@ class RandomChoiceRule:
             if unknown:
                 raise ValueError(f"mass assigned outside {cs}: {sorted(unknown)}")
             if mode == EXACT:
-                vals = {a: _as_exact(row.get(a, 0), f"at ({a}, {cs})") for a in cs}
+                vals = {a: _as_exact(row.get(a, 0), a, cs) for a in cs}
                 if any(v < 0 or v > 1 for v in vals.values()):
                     raise ValueError(f"probabilities outside [0, 1] on {cs}")
                 if sum(vals.values()) != 1:
@@ -247,7 +252,10 @@ class RandomChoiceRule:
                 if not any(v > 0 for v in vals.values()):
                     raise ValueError(f"empty support on {cs}")
             else:
-                vals = {a: float(row.get(a, 0.0)) for a in cs}
+                vals = {
+                    a: x if type(x := row.get(a, 0.0)) is float else _as_float(x, a, cs)
+                    for a in cs
+                }
                 for a, v in vals.items():
                     if not math.isfinite(v):
                         raise ValueError(f"non-finite probability {v!r} at ({a}, {cs})")

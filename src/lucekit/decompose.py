@@ -5,9 +5,11 @@ module recovers the unique rational support correspondence, the revealed
 order and its indifference classes, and per-class tie-breaking weights
 ``v(x) = p(x, {x, aᵢ}) / p(aᵢ, {x, aᵢ})`` against each class's
 representative. The weights stay exact rationals in exact mode; ``α = ln v``
-is emitted as floats alongside. Reconstructing a rule from the recovered
-pieces and comparing it with the input is part of :func:`decompose`, so a
-rule that merely looks consistent pairwise cannot decompose silently.
+is emitted as floats alongside. All of it is read from the rule view's Luce
+fit, the certificate that exact ``check_all`` also runs. The fit compares
+every cell with ``general_luce_rule(Γ, v)``, by integer cross-multiplication
+in exact mode and within eps in float mode, so a rule that merely looks
+consistent pairwise cannot decompose silently.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Mapping
 
-from .axioms import check_warp
+from .axioms import _RuleView, check_warp
 from .core import (
     EXACT,
     ChoiceCorrespondence,
@@ -26,9 +28,7 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
-    maximizers,
     support_correspondence,
-    within_tolerance,
 )
 from .errors import (
     DegenerateOddsError,
@@ -36,7 +36,7 @@ from .errors import (
     NotRationalError,
     ReconstructionMismatchError,
 )
-from .synthesize import LuceWeights, _share_rows
+from .synthesize import LuceWeights
 
 
 @dataclass(frozen=True)
@@ -77,34 +77,26 @@ def revealed_order(rule: RandomChoiceRule) -> WeakOrder:
     can only disagree on a pair, and pairs come first in family order, so
     the first mismatch found is that pair.
     """
-    return _revealed(rule)[0]
+    return _revealed(rule)[1]
 
 
-def _revealed(rule: RandomChoiceRule) -> tuple[WeakOrder, dict[ChoiceSet, ChoiceSet]]:
-    """:func:`revealed_order` and the maximizers its support test computed, per set."""
+def _revealed(rule: RandomChoiceRule) -> tuple[_RuleView, WeakOrder, list[int], list[Value], Any]:
+    """:func:`revealed_order`, its rule view and the rest of the view's Luce fit."""
     if not rule.family.contains_all_pairs():
         raise MissingPairsError("revealed order needs every pair in the family")
-    beaten = dict.fromkeys(rule.universe, 0)  # alternatives strictly better than each
-    for P in rule.family:
-        if len(P) == 2:
-            for a in P:
-                if not rule.is_positive(rule.p(a, P)):
-                    beaten[a] += 1
-    order = WeakOrder(rule.universe, beaten)
-    gamma: dict[ChoiceSet, ChoiceSet] = {}
-    for A in rule.family:
-        gamma[A] = maximizers(order, A)
-        if rule.support(A) != gamma[A]:
-            warp = check_warp(support_correspondence(rule))
-            if not warp.holds:
-                raise NotRationalError(
-                    "support correspondence violates contraction consistency", report=warp
-                )
+    view = _RuleView(rule)
+    ranks, gammas, v, misfit = view.luce_fit()
+    if v is None:
+        warp = check_warp(support_correspondence(rule))
+        if not warp.holds:
             raise NotRationalError(
-                f"binary supports are not consistent with any weak order "
-                f"(first mismatch at {A})"
+                "support correspondence violates contraction consistency", report=warp
             )
-    return order, gamma
+        raise NotRationalError(
+            f"binary supports are not consistent with any weak order "
+            f"(first mismatch at {view.sets[misfit[0]]})"
+        )
+    return view, WeakOrder(rule.universe, dict(zip(view.labels, ranks))), gammas, v, misfit
 
 
 def recover_v(rule: RandomChoiceRule, order: WeakOrder) -> dict[str, Value]:
@@ -137,36 +129,29 @@ def recover_v(rule: RandomChoiceRule, order: WeakOrder) -> dict[str, Value]:
 def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
     """Split a rule into (gamma, order, classes, v, alpha) and verify the split.
 
-    Two checks happen along the way. :func:`revealed_order` requires the
+    The rule view's Luce fit, which exact ``check_all`` also uses as its
+    certificate, makes two checks. :func:`revealed_order` requires the
     support on every family set to be the revealed order's maximizers, which
     holds exactly when the support correspondence is contraction-consistent
-    and its pairs rank the alternatives. Then rebuilding the rule from
-    (gamma, v) must reproduce the input table (exactly in exact mode, within
-    eps in float mode). The rebuild is what rejects rules that violate the
-    product structure only on larger sets; callers that already verified the
-    choice axiom will never see it fire.
+    and its pairs rank the alternatives. Then every cell must be that of
+    ``general_luce_rule(gamma, v)``: by integer cross-multiplication in exact
+    mode, within eps in float mode. That comparison is what rejects rules
+    that violate the product structure only on larger sets; callers that
+    already verified the choice axiom will never see it fire.
     """
-    order, chosen = _revealed(rule)
-    gamma = ChoiceCorrespondence(rule.family, chosen)  # the support, as the order's maximizers
-    v = recover_v(rule, order)
-    weights = LuceWeights(rule.universe, v)
-    tol = 0.0 if rule.mode == EXACT else rule.eps
-    for A in rule.family:
-        # Γ is the order's maximizers, so these are general_luce_rule(Γ, v)'s rows.
-        rebuilt = _share_rows(weights, A, gamma.gamma(A))
-        for a in A:
-            got, want = rebuilt[a], rule.p(a, A)
-            if rule.mode == EXACT:
-                ok = got == want
-            else:
-                ok = within_tolerance(float(got), want, tol)
-            if not ok:
-                raise ReconstructionMismatchError(
-                    f"rebuilt rule disagrees at ({a!r}, {A}): {got} vs {want}"
-                )
+    view, order, gammas, odds, misfit = _revealed(rule)
+    v = dict(zip(view.labels, odds))
+    LuceWeights(rule.universe, v)  # refuses odds beyond the float range, as a rebuild would
+    gamma = {A: view.pairs.members(g) for A, g in zip(view.sets, gammas)}
+    if misfit is not None:
+        A, a = view.sets[misfit[0]], view.labels[misfit[1]]
+        got = v[a] / sum(v[b] for b in gamma[A])  # in label order, as general_luce_rule sums
+        raise ReconstructionMismatchError(
+            f"rebuilt rule disagrees at ({a!r}, {A}): {got} vs {rule.p(a, A)}"
+        )
     classes = order.classes()
     return LuceDecomposition(
-        gamma=gamma,
+        gamma=ChoiceCorrespondence(rule.family, gamma),
         order=order,
         classes=classes,
         representatives=tuple(group[0] for group in classes),

@@ -17,6 +17,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from .axioms import AxiomReport, check_warp
@@ -75,8 +76,9 @@ class ChoiceDataset:
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "observations", canon)
 
-    @property
+    @cached_property
     def family(self) -> ChoiceFamily:
+        """The observed sets, built on first use and shared by every later reader."""
         return ChoiceFamily(self.universe, self.observations.keys())
 
     def total(self, A: ChoiceSet) -> int:

@@ -55,6 +55,8 @@ class LuceWeights:
         exact = all(isinstance(w, (Fraction, int)) for w in v.values())
         vals: dict[str, Value] = {}
         for a in universe:
+            if isinstance(v[a], (bool, str)):
+                raise ValueError(f"weight for {a!r} must be a number, got {v[a]!r}")
             w = Fraction(v[a]) if exact else float(v[a])
             if not (w > 0 and (exact or math.isfinite(w))):
                 raise ValueError(f"weight for {a!r} must be positive and finite, got {v[a]!r}")

@@ -211,6 +211,27 @@ class TestSynthesize:
         assert rule.p("c", ChoiceSet("abc")) == 0
         assert rule.p("a", ChoiceSet("abc")) == Fraction(2, 3)
 
+    def test_pairs_family_on_two_labels(self, tmp_path, capsys):
+        # The one pair is the whole universe; every command that reads
+        # --family pairs writes its document.
+        u = Universe("ab")
+        weights, utility = tmp_path / "weights.json", tmp_path / "utility.json"
+        write_document(str(weights), LuceWeights.from_v(u, {"a": Fraction(2), "b": Fraction(1)}))
+        write_document(str(utility), {"a": 1.0, "b": 0.0}, kind="utility")
+        calls = {
+            "limit": ["limit", "--utility", utility, "--weights", weights],
+            "simulate": ["simulate", "--weights", weights, "--draws", "5"],
+            "synthesize": ["synthesize", "--weights", weights, "--utility", utility],
+        }
+        for name, argv in calls.items():
+            out_path = tmp_path / f"{name}.json"
+            code, out, err = run([*argv, "--family", "pairs", "--out", out_path], capsys)
+            assert (code, out, err) == (0, "", "")
+            assert out_path.exists()
+        assert loads_document((tmp_path / "synthesize.json").read_text()).family.sets == (
+            ChoiceSet("ab"),
+        )
+
     def test_family_variants(self, work, capsys):
         code, out, _ = run(
             ["synthesize", "--weights", work["weights"], "--family", "pairs"], capsys

@@ -105,6 +105,15 @@ class TestChoiceFamily:
         assert ChoiceSet("abcd") in fam
         assert fam.contains_all_pairs()
 
+    @pytest.mark.parametrize(
+        "labels, sets", [("a", ["a"]), ("ab", ["ab"]), ("abc", ["ab", "ac", "bc", "abc"])]
+    )
+    def test_of_pairs_on_small_universes(self, labels, sets):
+        # On two labels the only pair is the whole universe, listed once.
+        fam = ChoiceFamily.of_pairs(Universe(labels))
+        assert fam.sets == tuple(ChoiceSet(s) for s in sets)
+        assert fam.contains_all_pairs()
+
     def test_contains_all_pairs(self):
         u = Universe("abc")
         assert ChoiceFamily.of_all_subsets(u).contains_all_pairs()
@@ -168,6 +177,22 @@ class TestRandomChoiceRule:
         extra_row[ChoiceSet("abz")] = {"z": Fraction(1)}
         with pytest.raises(ValueError):
             RandomChoiceRule(fam, extra_row)
+
+    @pytest.mark.parametrize(
+        "mode, row",
+        [
+            (EXACT, {"a": True, "b": 0}),
+            (EXACT, {"a": 1, "b": False}),
+            (EXACT, {"a": "1", "b": 0}),
+            (FLOAT, {"a": True, "b": 0.0}),
+            (FLOAT, {"a": "0.5", "b": 0.5}),
+        ],
+    )
+    def test_bool_and_str_cells_rejected(self, mode, row):
+        fam = ChoiceFamily(Universe("ab"), [ChoiceSet("ab")])
+        bad = next(type(x).__name__ for x in row.values() if isinstance(x, (bool, str)))
+        with pytest.raises(ValueError, match=rf"got {bad} at \(\w, {{a,b}}\)"):
+            RandomChoiceRule(fam, {ChoiceSet("ab"): row}, mode=mode)
 
     def test_mode_validation(self):
         fam = ChoiceFamily.of_all_subsets(Universe("a"))

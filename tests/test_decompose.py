@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucekit import (
+    FLOAT,
     ChoiceFamily,
     ChoiceSet,
     DegenerateOddsError,
     LucekitError,
+    LuceDecomposition,
     LuceWeights,
     MissingPairsError,
     NotRationalError,
@@ -22,10 +24,12 @@ from lucekit import (
     correspondence_from_order,
     decompose,
     general_luce_rule,
+    luce_rule,
     recover_v,
     revealed_order,
     support_correspondence,
 )
+from lucekit.core import within_tolerance
 from lucekit.documents import encode_axiom_report
 
 import helpers
@@ -150,20 +154,43 @@ class TestRoundTrips:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_maximizers_are_computed_once_per_set(self, monkeypatch, n):
-        decompose_module = sys.modules["lucekit.decompose"]
+        core_module = sys.modules["lucekit.core"]
         rule = helpers.random_synthesized_rule(n, random.Random(n))
         calls = []
-        real = decompose_module.maximizers
+        real = core_module.maximizers
 
         def counting(order, A):
             calls.append(A)
             return real(order, A)
 
-        # correspondence_from_order looks maximizers up in core.
-        monkeypatch.setattr(decompose_module, "maximizers", counting)
-        monkeypatch.setattr(sys.modules["lucekit.core"], "maximizers", counting)
+        monkeypatch.setattr(core_module, "maximizers", counting)
         dec = decompose(rule)
-        assert calls == list(rule.family)  # one per set, from the support test
+        assert not hasattr(sys.modules["lucekit.decompose"], "maximizers")
+        assert calls == []  # Γ comes from the rule view's Luce fit, as bitmasks
+        assert dec.gamma == support_correspondence(rule)
+
+    @pytest.mark.parametrize("as_float", [False, True])
+    def test_accepted_rule_reads_one_rule_view(self, monkeypatch, as_float):
+        axioms = sys.modules["lucekit.axioms"]
+        rule = helpers.random_synthesized_rule(5, random.Random(5))
+        if as_float:
+            rule = rule.as_float()
+        calls = []
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(axioms._RuleView, "__init__")
+        spy(sys.modules["lucekit.synthesize"], "_share_rows")
+        spy(axioms._NestedPairs, "subsets_of")
+        dec = decompose(rule)
+        assert calls == ["__init__"]  # one rule view, no rebuild, no pair walk
         assert dec.gamma == support_correspondence(rule)
 
     def test_weights_pinned_per_class_not_globally(self):
@@ -311,3 +338,28 @@ class TestMatchesWarpFirstOracle:
             rule = rule.as_float()
         assert outcome(revealed_order, rule) == outcome(oracle.revealed_order, rule)
         assert outcome(decompose, rule) == outcome(oracle.decompose, rule)
+
+    @pytest.mark.parametrize("side", ["inside", "outside"])
+    def test_float_cell_one_ulp_from_the_tolerance(self, side):
+        # p(a, {a,b,c}) sits one ulp inside or outside eps of its rebuilt value.
+        # These weights make the rebuilt value depend on the order of the sum.
+        u = Universe("abc")
+        w = LuceWeights.from_v(u, {"a": 0.53, "b": 2.11, "c": 4.23})
+        rule = luce_rule(w, ChoiceFamily.of_all_subsets(u))
+        v = decompose(rule).v
+        rebuilt = v["a"] / sum(v[b] for b in "abc")
+        assert rebuilt != v["a"] / sum(v[b] for b in "cba")
+        edge = (rebuilt + rule.eps * (1.0 + rebuilt)) / (1.0 - rule.eps)
+        while within_tolerance(rebuilt, edge, rule.eps):
+            edge = math.nextafter(edge, 2.0)
+        while not within_tolerance(rebuilt, edge, rule.eps):
+            edge = math.nextafter(edge, 0.0)
+        table = {A: dict(rule.row(A)) for A in rule.family}
+        table[ChoiceSet("abc")]["a"] = edge if side == "inside" else math.nextafter(edge, 2.0)
+        moved = RandomChoiceRule(rule.family, table, mode=FLOAT, eps=rule.eps)
+        ours = outcome(decompose, moved)
+        assert ours == outcome(oracle.decompose, moved)
+        if side == "inside":
+            assert isinstance(ours, LuceDecomposition)
+        else:
+            assert ours[0] is ReconstructionMismatchError and "('a', {a,b,c})" in ours[1]

@@ -279,6 +279,25 @@ class TestFitPipeline:
             math.log(2), abs=1e-7
         )
 
+    def test_fit_builds_the_family_once(self, monkeypatch):
+        u = Universe("abcd")
+        rng = random.Random(8)
+        data = ChoiceDataset(u, {A: {a: rng.randint(1, 9) for a in A} for A in u.subsets()})
+        before = repr(data)
+        built = []
+        real = ChoiceFamily.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChoiceFamily, "__init__", counting)
+        fit(data)
+        assert len(built) == 1 and data.family is built[0]
+        # The cached family is not a field: equality and repr are unchanged.
+        assert repr(data) == before
+        assert data == ChoiceDataset(u, dict(data.observations))
+
     def test_fit_checks_warp_once(self, monkeypatch):
         import lucekit.estimate as estimate
 

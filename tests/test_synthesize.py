@@ -71,6 +71,12 @@ class TestLuceWeights:
         with pytest.raises(ValueError, match="'b'.*finite"):
             LuceWeights.from_v(Universe("ab"), {"a": 1.0, "b": bad})
 
+    @pytest.mark.parametrize("other", [Fraction(1), 1.0])
+    @pytest.mark.parametrize("bad", [True, False, "0.5", "2"])
+    def test_bool_and_str_weights_rejected(self, other, bad):
+        with pytest.raises(ValueError, match="'b' must be a number"):
+            LuceWeights.from_v(Universe("ab"), {"a": other, "b": bad})
+
     @pytest.mark.parametrize("alpha", [800.0, float("inf"), float("nan")])
     def test_from_alpha_overflow_names_the_alternative(self, alpha):
         with pytest.raises(ValueError, match="'b'"):
