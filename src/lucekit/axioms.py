@@ -21,9 +21,11 @@ B ⊂ A of the family (odds independence over those with |B| = 2).
 universe) and lists the pairs by walking the submasks of each A against a
 mask-to-index table, or, when 2^|A| exceeds the family size |F|, by
 scanning the family for A's subsets; the cost is O(Σ_A min(2^|A|, |F|))
-rather than O(|F|²), and pairs are generated lazily, never stored as a
-list. In exact mode one pass over the pairs computes, for every j ∈ B, the
-residual
+rather than O(|F|²). A rule view walks the pairs once, in either mode, and
+that walk serves every checker: it counts their instances per pair, and it
+reads WARP off the support, as the pairs where supp p_A ∩ B is nonempty and
+those where supp p_B differs from it. In exact mode the same walk computes,
+for every j ∈ B, the residual
 
     r_j = N_A[j]·D_B − N_B[j]·M_AB,    M_AB = Σ_{j∈B} N_A[j],
 
@@ -36,9 +38,7 @@ whose residuals all vanish satisfies every instance (odds independence
 too: p(·, B) is then proportional to p(·, A) on B, so the odds agree or the
 right side is 0/0 and skipped). Such a pair only adds its closed-form
 instance count; the per-instance scan runs on the other pairs alone, so
-verdicts, counts and witnesses match a full scan. The same walk reads WARP
-off the support: the pairs where supp p_A ∩ B is nonempty, and those where
-supp p_B differs from it.
+verdicts, counts and witnesses match a full scan.
 
 On a complete family an exact rule first tries a certificate, which is the
 source paper's theorem used as the algorithm: a rule satisfies the choice
@@ -53,9 +53,11 @@ The theorem is what makes every holding rule match. On a mismatch, and on
 every partial family, the pair walk runs as above.
 
 Float mode cannot use residuals, since tolerances do not add up linearly, so
-it compares every instance, but in numpy: the view gathers p(j, A) and
-p(j, B) for j ∈ B over chunks of pairs of one size |B| and counts each
-pair's failing instances (the kernels ``_float_*``). The operations are the
+it compares every instance, but in numpy. The walk keeps each set's subsets,
+which become arrays when a checker first needs them, so WARP alone loads no
+numpy. Per checker the view gathers p(j, A) and p(j, B) for j ∈ B over
+chunks of pairs of one size |B| and counts each pair's failing instances
+(the kernels ``_float_*``). The operations are the
 scalar scan's in the same order (masses summed left to right, subset masses
 highest member first, :func:`within_tolerance` with each checker's operand
 order), so each boolean equals the scalar one. The scalar loop then reruns
@@ -224,11 +226,6 @@ class _NestedPairs:
         hits.sort()
         return hits
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for iA in range(len(self.masks)):
-            for iB in self.subsets_of(iA):
-                yield iB, iA
-
 
 class _PairShares(NamedTuple):
     """Instance counts summed over every nested pair (B, A) of the family."""
@@ -289,10 +286,6 @@ def _float_renyi(XA, XB, eps):
     return (XA > eps) & ~within_tolerance(XB * mass[:, None], XA, eps)
 
 
-def _float_supported(XA, XB, eps):
-    return XA > eps
-
-
 def _float_product(XA, XB, eps):
     """Product rule: p(k, B)·p(j, A) against p(j, B)·p(k, A) for j < k in B."""
     import numpy as np
@@ -335,11 +328,10 @@ def _float_set_choice(XA, XB, eps):
 # Each float kernel maps the gathered rows of a chunk of pairs, p(j, A) and
 # p(j, B) for j ∈ B (one row per pair), to one boolean per instance; a pair
 # has at most 2^|B| instances.
-_FLOAT_KERNELS: dict[Axiom | str, Callable] = {
+_FLOAT_KERNELS: dict[Axiom, Callable] = {
     Axiom.CHOICE_AXIOM: _float_choice,
     Axiom.ODDS_INDEPENDENCE: _float_odds,
     Axiom.RENYI_CONDITIONING: _float_renyi,
-    "supported": _float_supported,
     Axiom.PRODUCT_RULE: _float_product,
     Axiom.SET_CHOICE_AXIOM: _float_set_choice,
 }
@@ -374,12 +366,13 @@ class _RuleView:
             self.dens.append(den)
             self.nums.append(num)
         self._sums: dict[int, dict[int, Value]] = {}
-        self._split: _Split | None = None
-        # Float mode: the nested pairs as arrays, the failing pairs per axiom
-        # and the instance counts, each built on first use.
+        # One pair walk serves both modes; its results are built on first use.
+        # Float mode keeps the walk's subsets per set until they become the
+        # pair arrays, and caches each axiom's failing pairs.
+        self._walked: _Split | None = None
+        self._subsets: list[list[int]] | None = None
         self._pairs_np: _FloatPairs | None = None
         self._failures: dict[Axiom, tuple] = {}
-        self._shares: _PairShares | None = None
 
     def eq(self, lhs: Value, rhs: Value) -> bool:
         if self.exact:
@@ -420,7 +413,7 @@ class _RuleView:
         way the pairs come in the order of a full scan.
         """
         if self.exact:
-            yield from self._residual_split().failing
+            yield from self._split().failing
             return
         pairs = self._float_pairs()
         if axiom == Axiom.SET_INTERSECTION_RULE:
@@ -438,26 +431,15 @@ class _RuleView:
 
     def shares(self) -> _PairShares:
         """Instance counts over all nested pairs, which checkers credit in bulk."""
-        if self.exact:
-            return self._residual_split().shares
-        if self._shares is None:
-            import numpy as np
-
-            size = self._float_pairs().size
-            supported = self._float_pass("supported")
-            self._shares = _PairShares.from_sizes(
-                np.bincount(size).tolist(),
-                int(supported.sum()),
-                int(np.count_nonzero(supported[size == 2])),
-            )
-        return self._shares
+        return self._split().shares
 
     def _float_pairs(self) -> _FloatPairs:
-        """The nested pairs as arrays, built on first use (float mode only)."""
+        """The walk's subsets as arrays, built on first use (float mode only)."""
         if self._pairs_np is None:
             import numpy as np
 
-            subsets = [self.pairs.subsets_of(iA) for iA in range(len(self.sets))]
+            self._split()  # the walk leaves each set's subsets in _subsets
+            subsets, self._subsets = self._subsets, None
             iB = np.fromiter(chain.from_iterable(subsets), dtype=np.int32)
             iA = np.repeat(np.arange(len(self.sets), dtype=np.int32), list(map(len, subsets)))
             sizes = np.array([len(S) for S in self.sets], dtype=np.int32)
@@ -475,8 +457,8 @@ class _RuleView:
             )
         return self._pairs_np
 
-    def _float_pass(self, key: Axiom | str):
-        """Per nested pair, the number of instances where ``key``'s kernel fires.
+    def _float_pass(self, axiom: Axiom):
+        """Per nested pair, the number of instances where ``axiom``'s kernel fires.
 
         Pairs go in chunks of one size |B| = k, at most ``_CHUNK`` instances
         at a time; each chunk gathers p(j, A) and p(j, B) for j ∈ B from the
@@ -484,13 +466,13 @@ class _RuleView:
         """
         import numpy as np
 
-        kernel = _FLOAT_KERNELS[key]
+        kernel = _FLOAT_KERNELS[axiom]
         pairs = self._float_pairs()
         counts = np.zeros(len(pairs.inner), dtype=np.int64)
         start = 0
         for k, end in enumerate(np.cumsum(np.bincount(pairs.size)).tolist()):
             group, start = pairs.by_size[start:end], end
-            if key == Axiom.ODDS_INDEPENDENCE and k != 2:
+            if axiom == Axiom.ODDS_INDEPENDENCE and k != 2:
                 continue  # odds independence has instances on |B| = 2 only
             step = max(1, _CHUNK >> k)
             for s in range(0, len(group), step):
@@ -570,53 +552,70 @@ class _RuleView:
         _, gammas, _, misfit = self.luce_fit()
         return None if misfit else gammas
 
-    def _residual_split(self) -> "_Split":
-        """The exact pair walk's results: the certificate's when it holds."""
-        if self._split is None:
+    def _split(self) -> "_Split":
+        """The pair walk's results, built on first use: the certificate's when it holds."""
+        if self._walked is None:
             gammas = self.certificate()
-            self._split = (
-                self._residual_pass() if gammas is None else _certified_split(self.masks, gammas, self.n)
+            self._walked = (
+                self._walk() if gammas is None else _certified_split(self.masks, gammas, self.n)
             )
-        return self._split
+        return self._walked
 
-    def _residual_pass(self) -> "_Split":
-        """One walk over the nested pairs: residuals, pair shares and WARP together."""
-        nums, dens, masks = self.nums, self.dens, self.masks
+    def _walk(self) -> "_Split":
+        """One walk over the nested pairs, in either mode: pair shares and WARP.
+
+        The shares count the support at the view's eps, WARP reads it at the
+        rule's own (in exact mode both are p > 0, so one cut serves both).
+        Exact mode also lists the pairs with a nonzero residual; float mode
+        keeps each set's subsets for :meth:`_float_pairs`.
+        """
+        nums, dens, masks, exact = self.nums, self.dens, self.masks, self.exact
         bits = [list(_iter_bits(m)) for m in masks]
-        support = self.support_masks(0)
+        counted = self.support_masks(0 if exact else self.eps)
+        recut = not exact and self.eps != self.rule.eps
+        support = self.support_masks(self.rule.eps) if recut else counted
         failing: list[tuple[int, int]] = []
         warp_failing: list[tuple[int, int]] = []
+        kept: list[list[int]] = []
         per_size = [0] * (self.n + 1)
         supported = odds = warp_checked = 0
         subsets_of = self.pairs.subsets_of
         for iA, num_A in enumerate(nums):
-            support_A = support[iA]
-            of_A = num_A.__getitem__
-            for iB in subsets_of(iA):
-                num_B, den_B, bits_B = nums[iB], dens[iB], bits[iB]
-                mass_AB = sum(map(of_A, bits_B))
-                for j in bits_B:
-                    if num_A[j] * den_B != num_B[j] * mass_AB:
-                        failing.append((iB, iA))
-                        break
+            subsets = subsets_of(iA)
+            if not exact:
+                kept.append(subsets)
+            counted_A, support_A, of_A = counted[iA], support[iA], num_A.__getitem__
+            for iB in subsets:
+                bits_B = bits[iB]
+                if exact:
+                    num_B, den_B = nums[iB], dens[iB]
+                    mass_AB = sum(map(of_A, bits_B))
+                    for j in bits_B:
+                        if num_A[j] * den_B != num_B[j] * mass_AB:
+                            failing.append((iB, iA))
+                            break
                 per_size[len(bits_B)] += 1
-                cut = support_A & masks[iB]
+                cut = counted_A & masks[iB]
                 if cut:
                     supported += cut.bit_count()
                     odds += len(bits_B) == 2
+                if recut:
+                    cut = support_A & masks[iB]
+                if cut:
                     warp_checked += 1
                     if support[iB] != cut:
                         warp_failing.append((iB, iA))
+        self._subsets = kept
         shares = _PairShares.from_sizes(per_size, supported, odds)
         return _Split(failing, shares, support, warp_checked, warp_failing)
 
 
 class _Split(NamedTuple):
-    """Exact mode: what one walk over the nested pairs finds."""
+    """What the one walk over the nested pairs finds."""
 
-    failing: list[tuple[int, int]]  # pairs with a nonzero residual, in scan order
+    failing: list[tuple[int, int]]  # exact mode: pairs with a nonzero residual, in scan order
     shares: _PairShares
-    support: list[int]  # supp p_A per set, as a bitmask
+    support: list[int]  # supp p_A per set at the rule's eps, as a bitmask
     warp_checked: int  # pairs whose cut supp p_A ∩ B is nonempty
     warp_failing: list[tuple[int, int]]  # of those, where supp p_B differs from the cut
 
@@ -911,21 +910,18 @@ def check_warp(corr: ChoiceCorrespondence) -> AxiomReport:
     string spells out Γ(B) against Γ(A) ∩ B.
     """
     pairs = _NestedPairs(corr.family)
-    return _warp_scan(pairs, [pairs.mask(corr.table[A].members) for A in pairs.sets])
-
-
-def _warp_scan(pairs: _NestedPairs, gammas: list[int]) -> AxiomReport:
-    """WARP over the nested pairs of a family, Γ given as one bitmask per set."""
     masks = pairs.masks
+    gammas = [pairs.mask(corr.table[A].members) for A in pairs.sets]
     failing: list[tuple[int, int]] = []
     checked = 0
-    for iB, iA in pairs:
-        cut = gammas[iA] & masks[iB]
-        if cut == 0:
-            continue
-        checked += 1
-        if gammas[iB] != cut:
-            failing.append((iB, iA))
+    for iA, gamma_A in enumerate(gammas):
+        for iB in pairs.subsets_of(iA):
+            cut = gamma_A & masks[iB]
+            if cut == 0:
+                continue
+            checked += 1
+            if gammas[iB] != cut:
+                failing.append((iB, iA))
     return _warp_report(pairs, gammas, failing, checked)
 
 
@@ -985,14 +981,12 @@ def _check_support_warp(
 ) -> AxiomReport:
     """WARP of the rule's support, read off the view's rows at the rule's own eps.
 
-    Exact mode takes the failing pairs and the count from the view's one
-    pair walk (or its certificate); float mode scans the pairs.
+    Both modes take the failing pairs and the count from the view's one pair
+    walk, which the other checkers share (or from its certificate).
     """
     view = _view or _RuleView(rule)
-    if view.exact:
-        split = view._residual_split()
-        return _warp_report(view.pairs, split.support, split.warp_failing, split.warp_checked)
-    return _warp_scan(view.pairs, view.support_masks(rule.eps))
+    split = view._split()
+    return _warp_report(view.pairs, split.support, split.warp_failing, split.warp_checked)
 
 
 # One entry per axiom, in report order; every rule-level checker call goes

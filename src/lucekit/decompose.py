@@ -14,7 +14,6 @@ consistent pairwise cannot decompose silently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -141,7 +140,7 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
     """
     view, order, gammas, odds, misfit = _revealed(rule)
     v = dict(zip(view.labels, odds))
-    LuceWeights(rule.universe, v)  # refuses odds beyond the float range, as a rebuild would
+    weights = LuceWeights(rule.universe, v)  # refuses infinite float odds
     gamma = {A: view.pairs.members(g) for A, g in zip(view.sets, gammas)}
     if misfit is not None:
         A, a = view.sets[misfit[0]], view.labels[misfit[1]]
@@ -156,5 +155,5 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
         classes=classes,
         representatives=tuple(group[0] for group in classes),
         v=v,
-        alpha={a: math.log(v[a]) for a in rule.universe},
+        alpha=weights.alpha,
     )

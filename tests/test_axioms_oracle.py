@@ -380,6 +380,37 @@ class TestOneIndexPerRule:
         assert built == [rule.family]
         assert encoded(list(ours.values())) == encoded(list(reference.values()))
 
+    @pytest.mark.parametrize("eps", [None, 1e-3])
+    @pytest.mark.parametrize("perturb", [False, True])
+    @pytest.mark.parametrize("kind", ["complete", "partial", "pairs"])
+    def test_float_check_all_walks_each_set_once(self, monkeypatch, kind, perturb, eps):
+        rng = random.Random(11)
+        family = {
+            "complete": lambda: ChoiceFamily.of_all_subsets(helpers.universe_of(5)),
+            "partial": lambda: partial_family(rng),
+            "pairs": lambda: ChoiceFamily.of_pairs(helpers.universe_of(6)),
+        }[kind]()
+        rule = make_rule(rng, family, True, perturb).as_float()
+        reference = oracle.check_all(rule, eps=eps)
+        calls = count_walks(monkeypatch)
+        ours = check_all(rule, eps=eps)
+        assert len(calls) == len(rule.family)  # shares, WARP and the arrays from one walk
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
+        if perturb and kind == "complete":
+            assert not ours[Axiom.CHOICE_AXIOM].holds
+
+    def test_float_warp_alone_walks_each_set_once(self, monkeypatch, tmp_path, capsys):
+        rng = random.Random(12)
+        family = ChoiceFamily.of_all_subsets(helpers.universe_of(5))
+        rule = make_rule(rng, family, True, True).as_float()
+        path = tmp_path / "rule.json"
+        write_document(str(path), rule)
+        reference = oracle.check_all(rule)[Axiom.WARP]
+        calls = count_walks(monkeypatch)
+        assert main(["check", str(path), "--axioms", "warp"]) == (0 if reference.holds else 1)
+        assert len(calls) == len(rule.family)
+        assert capsys.readouterr().out == encoded([reference], rule)
+
 
 class TestWarpMatchesOracle:
     @settings(max_examples=60, deadline=None)
@@ -529,7 +560,7 @@ class TestCertificate:
         view = axioms._RuleView(holding_rule(n, 200 + n, selective))
         gammas = view.certificate()
         assert gammas == view.support_masks(0)
-        assert axioms._certified_split(view.masks, gammas, view.n) == view._residual_pass()
+        assert axioms._certified_split(view.masks, gammas, view.n) == view._walk()
 
     @pytest.mark.parametrize("n", range(11))
     def test_every_mask_is_the_canonical_order(self, n):

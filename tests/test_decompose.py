@@ -24,11 +24,14 @@ from lucekit import (
     correspondence_from_order,
     decompose,
     general_luce_rule,
+    loads_document,
     luce_rule,
     recover_v,
     revealed_order,
     support_correspondence,
+    write_document,
 )
+from lucekit.cli import main
 from lucekit.core import within_tolerance
 from lucekit.documents import encode_axiom_report
 
@@ -208,6 +211,22 @@ class TestRoundTrips:
         lopsided["b"] *= 2  # shares a class with a
         w = LuceWeights.from_v(rule.universe, lopsided)
         assert general_luce_rule(dec.gamma, w).table != rule.table
+
+    @pytest.mark.parametrize("tiny, alpha_b", [("a", 921.034), ("b", -921.034)])
+    def test_exact_odds_beyond_the_float_range(self, tmp_path, capsys, tiny, alpha_b):
+        # The odds of b against the representative a are 10^±400, which no
+        # float holds; α = ln v still is one.
+        u = Universe("ab")
+        p = Fraction(1, 10**400)
+        row = {tiny: p, ("b" if tiny == "a" else "a"): 1 - p}
+        rule = RandomChoiceRule(ChoiceFamily(u, [ChoiceSet("ab")]), {ChoiceSet("ab"): row})
+        dec = decompose(rule)
+        assert dec.alpha == LuceWeights(u, dec.v).alpha
+        assert dec.alpha["a"] == 0.0 and dec.alpha["b"] == pytest.approx(alpha_b, abs=1e-3)
+        path = tmp_path / "rule.json"
+        write_document(str(path), rule)
+        assert main(["decompose", str(path)]) == 0
+        assert loads_document(capsys.readouterr().out) == dec
 
 
 class TestRefusals:

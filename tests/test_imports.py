@@ -1,4 +1,5 @@
-"""The import boundary: the exact side of lucekit never loads numpy.
+"""The import boundary: the exact side of lucekit never loads numpy, nor
+does checking WARP or positivity alone on a float rule.
 
 Each check runs in a fresh interpreter (``PYTHONPATH=src``), since the test
 process itself has numpy loaded long before any of these tests run.
@@ -104,6 +105,19 @@ class TestNoNumpyOnTheExactSide:
         assert result["numpy"] is False
         # The same calls in this process, numpy loaded, write the same bytes.
         assert [_in_process(argv)[1] for argv in calls[1:]] == result["outs"][1:]
+
+    def test_float_warp_and_positivity(self, tmp_path):
+        # The float checkers' arrays are built from the pair walk only when a
+        # checker needs them; WARP reads the walk alone.
+        u = Universe("abcde")
+        w = LuceWeights.from_v(u, {a: Fraction(i + 1, 3) for i, a in enumerate(u)})
+        path = str(tmp_path / "rule.json")
+        write_document(path, lucekit.luce_rule(w, ChoiceFamily.of_all_subsets(u)).as_float())
+        argv = ["check", path, "--axioms", "warp,positivity"]
+        result = _run_main([argv])
+        assert result["codes"] == [0]
+        assert result["numpy"] is False
+        assert result["outs"] == [_in_process(argv)[1]]
 
 
 class TestNumpyPathsStillWork:
