@@ -7,13 +7,13 @@ count, and the number of instances examined. Verdicts are relative to the
 family: on partial families a pass may be vacuous, which is why reports also
 carry a completeness flag.
 
-Exact rules are checked by integer cross-multiplication: each table row is
-rewritten as integer numerators over one common denominator, so every
-identity of products of probabilities becomes an identity of machine
-integers. Float rules are evaluated directly with the relative tolerance
-``|lhs - rhs| <= eps * (1 + |lhs| + |rhs|)``. Witnesses always carry the
-probabilities themselves (not the cross-multiplied forms), so they can be
-replayed against the raw definitions via :func:`replay_witness`.
+Exact rules are checked by integer cross-multiplication: a rule keeps each
+row as integer numerators over one common denominator from construction on,
+so every identity of products of probabilities becomes an identity of
+machine integers. Float rules are evaluated directly with the relative
+tolerance ``|lhs - rhs| <= eps * (1 + |lhs| + |rhs|)``. Witnesses always
+carry the probabilities themselves (not the cross-multiplied forms), so
+they can be replayed against the raw definitions via :func:`replay_witness`.
 
 All checkers but positivity and full support quantify over nested pairs
 B ⊂ A of the family (odds independence over those with |B| = 2).
@@ -84,6 +84,7 @@ from .core import (
     ExtendedRatio,
     RandomChoiceRule,
     Value,
+    _over_lcm,
     check_eps,
     support_correspondence,
     within_tolerance,
@@ -227,6 +228,25 @@ class _NestedPairs:
         return hits
 
 
+def _least_rank(pairs: _NestedPairs, chosen: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Ranks (pairs whose ``chosen`` mask leaves an alternative out; every pair is
+    needed), tiers (one rank's bitmask) best first, and per set Γ(A), the members
+    of A of least rank: a weak order's maximizers, so Γ satisfies WARP."""
+    n, index = len(pairs.labels), pairs.index
+    ranks = [0] * n
+    for k in range(n):
+        for j in range(k):
+            pair = chosen[index[(1 << j) | (1 << k)]]
+            ranks[j] += not pair >> j & 1
+            ranks[k] += not pair >> k & 1
+    tiers: dict[int, int] = {}  # rank -> its alternatives, as a bitmask
+    for j, rank in enumerate(ranks):
+        tiers[rank] = tiers.get(rank, 0) | 1 << j
+    best_first = [tiers[rank] for rank in sorted(tiers)]
+    gammas = [next(mask & tier for tier in best_first if mask & tier) for mask in pairs.masks]
+    return ranks, best_first, gammas
+
+
 class _PairShares(NamedTuple):
     """Instance counts summed over every nested pair (B, A) of the family."""
 
@@ -340,31 +360,23 @@ _FLOAT_KERNELS: dict[Axiom, Callable] = {
 class _RuleView:
     """Bitmask access layer shared by the checkers.
 
-    Sets become bitmasks over the universe; each exact row becomes integer
-    numerators over one common denominator so identities reduce to integer
-    equalities, while float rows keep probabilities with denominator 1.0.
+    Sets become bitmasks over the universe. The rows are the rule's own
+    (D_A, N_A), built with the rule and only read here: exact rows are integer
+    numerators over one common denominator, so identities reduce to integer
+    equalities, and float rows keep probabilities with denominator 1.0.
     """
 
     def __init__(self, rule: RandomChoiceRule, eps: float | None = None) -> None:
         self.rule = rule
         self.exact = rule.mode == EXACT
         self.eps = rule.eps if eps is None else check_eps(eps)
-        index = rule.universe.index
         self.n = len(rule.universe)
         self.pairs = _NestedPairs(rule.family)
         self.labels = self.pairs.labels
         self.sets = self.pairs.sets
         self.masks = self.pairs.masks
-        self.dens: list[Value] = []
-        self.nums: list[list[Value]] = []
-        for A in self.sets:
-            row = rule.table[A]
-            den = math.lcm(*(v.denominator for v in row.values())) if self.exact else 1.0
-            num: list[Value] = [den * 0] * self.n
-            for a, v in row.items():
-                num[index(a)] = v.numerator * (den // v.denominator) if self.exact else float(v)
-            self.dens.append(den)
-            self.nums.append(num)
+        self.dens: list[Value] = rule._dens  # type: ignore[attr-defined]
+        self.nums: list[list[Value]] = rule._nums  # type: ignore[attr-defined]
         self._sums: dict[int, dict[int, Value]] = {}
         # One pair walk serves both modes; its results are built on first use.
         # Float mode keeps the walk's subsets per set until they become the
@@ -513,20 +525,10 @@ class _RuleView:
         sum in label order. Cells off Γ(A) are 0 on both sides once supports match.
         """
         nums, n, index, exact, eps = self.nums, self.n, self.pairs.index, self.exact, self.eps
-        floor = 0 if exact else eps
-        ranks = [0] * n
-        for k in range(n):
-            for j in range(k):
-                num = nums[index[(1 << j) | (1 << k)]]
-                ranks[j] += num[j] <= floor
-                ranks[k] += num[k] <= floor
-        tiers: dict[int, int] = {}  # rank -> its alternatives, as a bitmask
-        for j, rank in enumerate(ranks):
-            tiers[rank] = tiers.get(rank, 0) | 1 << j
-        best_first = [tiers[rank] for rank in sorted(tiers)]
-        gammas = [next(mask & tier for tier in best_first if mask & tier) for mask in self.masks]
-        for i, (support, gamma) in enumerate(zip(self.support_masks(floor), gammas)):
-            if support != gamma:
+        support = self.support_masks(0 if exact else eps)
+        ranks, best_first, gammas = _least_rank(self.pairs, support)
+        for i, (supp, gamma) in enumerate(zip(support, gammas)):
+            if supp != gamma:
                 return ranks, gammas, None, (i, None)
         v: list[Value] = [Fraction(1) if exact else 1.0] * n
         for tier in best_first:
@@ -534,8 +536,7 @@ class _RuleView:
             for j in _iter_bits(tier & (tier - 1)):
                 num = nums[index[(1 << j) | (1 << r)]]
                 v[j] = Fraction(num[j], num[r]) if exact else num[j] / num[r]
-        scale = math.lcm(*(x.denominator for x in v)) if exact else 1
-        w = [x.numerator * (scale // x.denominator) for x in v] if exact else v
+        w = _over_lcm(v)[1] if exact else v
         for i, (gamma, num, den) in enumerate(zip(gammas, nums, self.dens)):
             bits = list(_iter_bits(gamma))
             total = sum(map(w.__getitem__, bits))

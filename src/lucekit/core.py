@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import FamilySizeError, SubsetViolationError, UnknownChoiceSetError
 
@@ -191,6 +191,12 @@ class ChoiceFamily:
         )
 
 
+def _over_lcm(values: Collection[Fraction]) -> tuple[int, list[int]]:
+    """(D, N): ``values`` as integer numerators N over D, the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def _as_exact(value: object, a: str, cs: ChoiceSet) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -215,6 +221,9 @@ class RandomChoiceRule:
     member label. ``mode`` is ``"exact"`` (Fraction arithmetic, identities
     decided exactly) or ``"float"`` (tolerance ``eps``; a value is treated as
     positive when it exceeds ``eps``).
+
+    Exact rows are checked and kept once, privately, as integers N_A (by
+    universe position) over one denominator D_A; float rows are kept over 1.0.
     """
 
     family: ChoiceFamily
@@ -235,7 +244,10 @@ class RandomChoiceRule:
         extra = set(table) - set(family.sets)
         if extra:
             raise ValueError(f"table rows for sets outside the family: {sorted(map(repr, extra))}")
+        position = family.universe._index  # type: ignore[attr-defined]
         canon: dict[ChoiceSet, dict[str, Value]] = {}
+        dens: list[Value] = []  # D_A and N_A per set, in family order
+        nums: list[list[Value]] = []
         for cs in family:
             if cs not in table:
                 raise ValueError(f"missing table row for {cs}")
@@ -245,11 +257,12 @@ class RandomChoiceRule:
                 raise ValueError(f"mass assigned outside {cs}: {sorted(unknown)}")
             if mode == EXACT:
                 vals = {a: _as_exact(row.get(a, 0), a, cs) for a in cs}
-                if any(v < 0 or v > 1 for v in vals.values()):
+                den, cells = _over_lcm(vals.values())
+                if any(x < 0 or x > den for x in cells):
                     raise ValueError(f"probabilities outside [0, 1] on {cs}")
-                if sum(vals.values()) != 1:
+                if sum(cells) != den:
                     raise ValueError(f"masses on {cs} sum to {sum(vals.values())}, not 1")
-                if not any(v > 0 for v in vals.values()):
+                if not any(cells):
                     raise ValueError(f"empty support on {cs}")
             else:
                 vals = {
@@ -265,11 +278,19 @@ class RandomChoiceRule:
                     raise ValueError(f"masses on {cs} sum to {sum(vals.values())}, not 1")
                 if not any(v > eps for v in vals.values()):
                     raise ValueError(f"empty support on {cs}")
+                den, cells = 1.0, vals.values()
+            num = [den * 0] * len(position)
+            for a, x in zip(vals, cells):
+                num[position[a]] = x
             canon[cs] = vals
+            dens.append(den)
+            nums.append(num)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "table", canon)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "_dens", dens)
+        object.__setattr__(self, "_nums", nums)
 
     @property
     def universe(self) -> Universe:

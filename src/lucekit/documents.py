@@ -130,7 +130,10 @@ def _decode_scalar(raw: Any, what: str, *args: Any) -> Value:
                 f"rational literal {reprlib.repr(raw)} has an exponent that would build "
                 f"an integer of more than {sys.get_int_max_str_digits()} digits"
             )
-        try:
+        num, slash, den = raw.partition("/")
+        try:  # ASCII p or p/q skips Fraction's parser: same value, same errors
+            if num.isdigit() and (den.isdigit() or not slash) and raw.isascii():
+                return Fraction(int(num), int(den or 1))
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational literal {reprlib.repr(raw)}") from exc

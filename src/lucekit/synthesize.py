@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from operator import truediv
+from typing import Callable, Iterable, Mapping
 
-from .axioms import check_warp
+from .axioms import _least_rank, _NestedPairs, check_warp
 from .core import (
     EXACT,
     FLOAT,
@@ -30,6 +31,7 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
+    _over_lcm,
     maximizers,
 )
 from .errors import NotRationalError
@@ -104,21 +106,31 @@ def _validate_utility(universe: Universe, u: Mapping[str, float]) -> dict[str, f
     return out
 
 
-def _share_rows(
-    weights: LuceWeights, members: Iterable[str], chosen: ChoiceSet
-) -> dict[str, Value]:
-    # Summed in label order, so float rows do not depend on set hashing.
-    total = sum(weights.v[b] for b in chosen)
-    zero: Value = Fraction(0) if weights.mode == EXACT else 0.0
-    return {a: weights.v[a] / total if a in chosen else zero for a in members}
+def _shared_rule(
+    weights: LuceWeights, family: ChoiceFamily, chosen: Callable[[ChoiceSet], ChoiceSet]
+) -> RandomChoiceRule:
+    """p(a, A) = v(a) / Σ_{chosen(A)} v on chosen(A), zero elsewhere, summed in
+    label order (float rows then do not depend on set hashing). Exact weights
+    are scaled to integers w by one lcm: each cell is ``Fraction(w_a, Σ w)``."""
+    v = weights.v
+    if weights.mode == EXACT:
+        w = dict(zip(v, _over_lcm(v.values())[1]))
+        share, zero = Fraction, Fraction(0)
+    else:
+        w, share, zero = v, truediv, 0.0
+    table = {}
+    for A in family:
+        G = chosen(A)
+        total = sum(w[b] for b in G)
+        table[A] = {a: share(w[a], total) if a in G else zero for a in A}
+    return RandomChoiceRule(family, table, mode=weights.mode)
 
 
 def luce_rule(weights: LuceWeights, family: ChoiceFamily) -> RandomChoiceRule:
     """The fully supported rule p(a, A) = v(a) / sum of v over A."""
     if family.universe != weights.universe:
         raise ValueError("weights and family must share a universe")
-    table = {A: _share_rows(weights, A, A) for A in family}
-    return RandomChoiceRule(family, table, mode=weights.mode)
+    return _shared_rule(weights, family, lambda A: A)
 
 
 def general_luce_rule(gamma: ChoiceCorrespondence, weights: LuceWeights) -> RandomChoiceRule:
@@ -127,19 +139,22 @@ def general_luce_rule(gamma: ChoiceCorrespondence, weights: LuceWeights) -> Rand
     Only rational correspondences are accepted: when gamma fails the
     contraction-consistency check, the construction would land in the wider
     model class where none of this package's equivalences hold, so it is
-    refused with the failing report attached.
+    refused with the failing report attached. A gamma that is the maximizers
+    of the order its pairs reveal (every pair present) needs no WARP scan.
     """
     if gamma.universe != weights.universe:
         raise ValueError("weights and correspondence must share a universe")
-    report = check_warp(gamma)
-    if not report.holds:
-        raise NotRationalError(
-            "correspondence violates contraction consistency; refusing to build "
-            "a selective rule outside the Luce form",
-            report=report,
-        )
-    table = {A: _share_rows(weights, A, gamma.gamma(A)) for A in gamma.family}
-    return RandomChoiceRule(gamma.family, table, mode=weights.mode)
+    pairs = _NestedPairs(gamma.family)
+    chosen = [pairs.mask(gamma.gamma(A).members) for A in pairs.sets]
+    if not (gamma.family.contains_all_pairs() and _least_rank(pairs, chosen)[2] == chosen):
+        report = check_warp(gamma)
+        if not report.holds:
+            raise NotRationalError(
+                "correspondence violates contraction consistency; refusing to build "
+                "a selective rule outside the Luce form",
+                report=report,
+            )
+    return _shared_rule(weights, gamma.family, gamma.gamma)
 
 
 def general_luce_rule_from_utility(
@@ -154,8 +169,7 @@ def general_luce_rule_from_utility(
         raise ValueError("weights and family must share a universe")
     util = _validate_utility(family.universe, u)
     order = WeakOrder.from_utility(family.universe, util)
-    table = {A: _share_rows(weights, A, maximizers(order, A)) for A in family}
-    return RandomChoiceRule(family, table, mode=weights.mode)
+    return _shared_rule(weights, family, lambda A: maximizers(order, A))
 
 
 def lambda_smoothed_rule(

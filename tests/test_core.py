@@ -264,6 +264,104 @@ class TestRandomChoiceRule:
         assert corr.gamma(ChoiceSet("b")) == ChoiceSet("b")
 
 
+def _fraction_row_error(family, table, mode, eps):
+    """The row checks as made on the Fraction (or float) cells themselves: the oracle.
+
+    Returns the ``ValueError`` text of the first failing row, in family order,
+    or None when every row passes.
+    """
+    for cs in family:
+        row = table[cs]
+        if mode == EXACT:
+            vals = {a: Fraction(row.get(a, 0)) for a in cs}
+            if any(v < 0 or v > 1 for v in vals.values()):
+                return f"probabilities outside [0, 1] on {cs}"
+            if sum(vals.values()) != 1:
+                return f"masses on {cs} sum to {sum(vals.values())}, not 1"
+            if not any(v > 0 for v in vals.values()):
+                return f"empty support on {cs}"
+        else:
+            vals = {a: float(row.get(a, 0.0)) for a in cs}
+            if any(v < -eps or v > 1.0 + eps for v in vals.values()):
+                return f"probabilities outside [0, 1] (eps={eps}) on {cs}"
+            if abs(sum(vals.values()) - 1.0) > eps * len(cs):
+                return f"masses on {cs} sum to {sum(vals.values())}, not 1"
+            if not any(v > eps for v in vals.values()):
+                return f"empty support on {cs}"
+    return None
+
+
+@st.composite
+def _row(draw, members):
+    """A row over ``members``: a distribution, or one edited to be negative,
+    above 1, short of 1 or all zero. Cells are Fractions over a scaled total
+    (so denominators differ within a row), ints where they are 0 or 1."""
+    weights = draw(st.lists(st.integers(0, 6), min_size=len(members), max_size=len(members)))
+    if not any(weights):
+        weights[draw(st.integers(0, len(members) - 1))] = 1
+    scale = draw(st.integers(1, 4))
+    total = sum(weights) * scale
+    cells = [Fraction(w * scale, total) for w in weights]
+    edit = draw(st.sampled_from(["none", "none", "none", "negative", "above", "short", "zero"]))
+    j = draw(st.integers(0, len(members) - 1))
+    if edit == "negative":
+        cells[j] -= Fraction(draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    elif edit == "above":
+        cells[j] = Fraction(total + draw(st.integers(1, 3)), total)
+    elif edit == "short":
+        cells = [c * Fraction(total - 1, total) for c in cells]
+    elif edit == "zero":
+        cells = [Fraction(0)] * len(members)
+    return {a: int(c) if c in (0, 1) else c for a, c in zip(members, cells)}
+
+
+@st.composite
+def _table(draw):
+    n = draw(st.integers(1, 4))
+    universe = helpers.universe_of(n)
+    sets = list(universe.subsets())
+    chosen = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=len(sets), unique=True))
+    family = ChoiceFamily(universe, chosen)
+    return family, {A: draw(_row(A.members)) for A in family}
+
+
+class TestIntegerRows:
+    """Rows are checked and kept as integers over one denominator; the answers
+    must be those of the checks on the cells themselves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_table(), as_float=st.booleans())
+    def test_row_checks_match_the_fraction_checks(self, case, as_float):
+        from lucekit import axioms
+
+        import oracle_axioms
+
+        family, table = case
+        mode = FLOAT if as_float else EXACT
+        if as_float:
+            table = {A: {a: float(v) for a, v in row.items()} for A, row in table.items()}
+        expected = _fraction_row_error(family, table, mode, 1e-9)
+        try:
+            rule = RandomChoiceRule(family, table, mode=mode)
+        except ValueError as exc:
+            assert str(exc) == expected
+            return
+        assert expected is None
+        view, old = axioms._RuleView(rule), oracle_axioms._RuleView(rule)
+        assert view.nums is rule._nums and view.dens is rule._dens  # taken as they are
+        assert view.dens == old.dens and view.nums == old.nums
+        kind = float if as_float else int
+        assert {type(x) for x in view.dens} == {kind}
+        assert {type(x) for num in view.nums for x in num} == {kind}
+        assert rule == RandomChoiceRule(family, rule.table, mode=mode)
+
+    def test_rows_are_not_fields(self):
+        rule = _uniform_rule(2)
+        assert "_nums" not in repr(rule) and "_dens" not in repr(rule)
+        twin = RandomChoiceRule(rule.family, {A: dict(row) for A, row in rule.table.items()})
+        assert twin == rule
+
+
 class TestOdds:
     def test_classification(self):
         u = Universe("abc")

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+import reprlib
 import time
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from lucekit import (
     write_document,
 )
 from lucekit.documents import (
+    _decode_scalar,
     decode_axiom_report,
     encode_axiom_report,
 )
@@ -192,6 +194,51 @@ class TestReports:
         assert back["type"] == "limit"
         assert back["report"] == rep
         assert dumps_document(back["report"]) == text
+
+
+# ASCII digits and digits/digits take the decoder's int path; the rest
+# (signs, spaces, "_", decimals, exponents, other digits) go to Fraction(raw).
+LITERALS = {
+    "unreduced": "2/4",
+    "leading-space": " 1/2",
+    "plus-sign": "+1/2",
+    "minus-zero": "-0",
+    "underscore": "1_0",
+    "arabic-indic-digits": "\u0661/\u0662",
+    "superscript-digit": "\u00b2",
+    "zero-denominator": "1/0",
+    "zero-over-zero": "0/0",
+    "negative-denominator": "1/-2",
+    "decimal": "1.5",
+    "exponent": "25e-3",
+    "integer": "12",
+    "leading-zeros": "007/010",
+    "empty": "",
+    "bare-slash": "/",
+    "two-slashes": "1/2/3",
+    "5000-digit-numerator": "7" * 5000,
+    "5000-digit-numerator-over-3": "7" * 5000 + "/3",
+}
+
+
+class TestRationalLiterals:
+    @pytest.mark.parametrize("raw", LITERALS.values(), ids=LITERALS.keys())
+    def test_decodes_as_fraction_does(self, raw):
+        try:
+            want = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(DocumentError) as info:
+                _decode_scalar(raw, "probability")
+            assert str(info.value) == f"bad rational literal {reprlib.repr(raw)}"
+        else:
+            got = _decode_scalar(raw, "probability")
+            assert type(got) is Fraction and got == want
+
+    def test_unreduced_literals_load_reduced(self):
+        text = dumps_document(LuceWeights.from_v(Universe("ab"), {"a": 1, "b": Fraction(1, 2)}))
+        back = loads_document(text.replace('"1/2"', '"2/4"').replace('"a": "1"', '"a": "007/007"'))
+        assert back.v == {"a": 1, "b": Fraction(1, 2)}
+        assert dumps_document(back) == text
 
 
 class TestFileIO:

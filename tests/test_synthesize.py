@@ -22,6 +22,7 @@ from lucekit import (
     WeakOrder,
     check_choice_axiom,
     check_full_support,
+    check_warp,
     correspondence_from_order,
     general_luce_rule,
     general_luce_rule_from_utility,
@@ -30,6 +31,7 @@ from lucekit import (
     luce_rule,
     support_correspondence,
 )
+from lucekit import axioms
 
 import helpers
 
@@ -158,6 +160,77 @@ class TestGeneralLuceRule:
         )
         assert calls == []
         assert support_correspondence(rule).table[ChoiceSet("abcd")] == ChoiceSet("ab")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=100_000),
+        pairs_only=st.booleans(),
+    )
+    def test_maximizer_gamma_runs_no_warp_scan(self, n, seed, pairs_only):
+        # Γ is the maximizers of the order its pairs reveal: WARP by construction.
+        rng = random.Random(seed)
+        u = helpers.universe_of(n)
+        fam = ChoiceFamily.of_pairs(u) if pairs_only and n > 1 else ChoiceFamily.of_all_subsets(u)
+        gamma = helpers.random_warp_correspondence(u, rng, fam)
+        w = helpers.random_rational_weights(u, rng)
+        calls = []
+        real = axioms._NestedPairs.subsets_of
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sys.modules["lucekit.synthesize"], "check_warp", calls.append)
+            patch.setattr(
+                axioms._NestedPairs, "subsets_of", lambda self, iA: calls.append(iA) or real(self, iA)
+            )
+            rule = general_luce_rule(gamma, w)
+        assert calls == []
+        for A in fam:
+            G = gamma.gamma(A)
+            total = sum(w.v[b] for b in G)
+            want = {a: w.v[a] / total if a in G else Fraction(0) for a in A}
+            assert rule.table[A] == want
+            assert all(type(x) is Fraction for x in rule.table[A].values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=2, max_value=4), seed=st.integers(min_value=0, max_value=100_000))
+    def test_other_gammas_get_the_warp_scan(self, n, seed):
+        rng = random.Random(seed)
+        u = helpers.universe_of(n)
+        sets = list(u.subsets())
+        fam = ChoiceFamily(u, rng.sample(sets, rng.randint(1, len(sets))))
+        table = {}
+        for A in fam:
+            members = list(A)
+            table[A] = ChoiceSet(rng.sample(members, rng.randint(1, len(members))))
+        gamma = ChoiceCorrespondence(fam, table)
+        want = check_warp(gamma)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                sys.modules["lucekit.synthesize"], "check_warp",
+                lambda corr: calls.append(corr) or check_warp(corr),
+            )
+            try:
+                rule = general_luce_rule(gamma, LuceWeights.uniform(u))
+            except NotRationalError as err:
+                assert err.report == want and not want.holds
+                assert calls == [gamma]  # the refusal carries the scan's own report
+                return
+        assert want.holds and support_correspondence(rule) == gamma
+
+    def test_cyclic_pairs_are_scanned_and_built(self, monkeypatch):
+        # Without a larger set, a cycle on the pairs is WARP but no order's maximizers.
+        u = Universe("abc")
+        fam = ChoiceFamily(u, [ChoiceSet("ab"), ChoiceSet("bc"), ChoiceSet("ac")])
+        chosen = {ChoiceSet("ab"): "a", ChoiceSet("bc"): "b", ChoiceSet("ac"): "c"}
+        gamma = ChoiceCorrespondence(fam, {A: ChoiceSet(c) for A, c in chosen.items()})
+        synthesize_module = sys.modules["lucekit.synthesize"]
+        calls = []
+        monkeypatch.setattr(
+            synthesize_module, "check_warp", lambda corr: calls.append(corr) or check_warp(corr)
+        )
+        rule = general_luce_rule(gamma, LuceWeights.uniform(u))
+        assert calls == [gamma]
+        assert support_correspondence(rule) == gamma
 
     def test_float_rows_do_not_depend_on_string_hashing(self):
         # Shares are summed in label order; a set's iteration order would
