@@ -2,12 +2,15 @@
 synthesis, ranking simulation, and maximum-likelihood estimation.
 
 The exact side (checking, decomposing, synthesizing, documents) is pure
-rational arithmetic and loads no numpy. The simulation names, which live in
-:mod:`lucekit.rum` and :mod:`lucekit._kernels`, are imported on first access,
-and numpy with them; fitting and float-mode checks import numpy when they run.
+rational arithmetic and loads no numpy. The names of :mod:`lucekit.decompose`
+and :mod:`lucekit.estimate`, and the simulation names, which live in
+:mod:`lucekit.rum` and :mod:`lucekit._kernels`, are imported on first access
+(the last two with numpy), so that ``lucekit check`` loads none of them;
+fitting and float-mode checks import numpy when they run.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
+from importlib import import_module as _import_module, util as _util
 from types import ModuleType as _ModuleType
 
 from .axioms import (
@@ -47,7 +50,6 @@ from .core import (
     support_correspondence,
     utility_from_order,
 )
-from .decompose import LuceDecomposition, decompose, recover_v, revealed_order
 from .documents import (
     DOCUMENT_VERSION,
     KINDS,
@@ -71,13 +73,6 @@ from .errors import (
     SubsetViolationError,
     UnknownChoiceSetError,
 )
-from .estimate import (
-    ChoiceDataset,
-    FitResult,
-    fit,
-    fit_alpha_mle,
-    support_from_counts,
-)
 from .synthesize import (
     LimitReport,
     LuceWeights,
@@ -90,9 +85,26 @@ from .synthesize import (
 
 __version__ = "0.1.0"
 
-# Names from the modules that import numpy when loaded. PEP 562 loads the
-# module on first access, so that ``import lucekit`` stays free of numpy.
+
+# Modules that an exact check never runs: in ``sys.modules`` at once, run on
+# their first attribute access (the importlib documentation's ``LazyLoader``
+# recipe). The package's ``decompose`` is the function of that name.
+for _name in ("decompose", "estimate"):
+    _spec = _util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    _sys.modules[_spec.name] = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(_sys.modules[_spec.name])
+del _name, _spec
+estimate = _sys.modules[f"{__name__}.estimate"]
+
+# Names from those modules and from the ones that import numpy when loaded.
+# PEP 562 loads the module on first access, so that ``import lucekit`` runs
+# none of them.
 _LAZY = {
+    **dict.fromkeys(("LuceDecomposition", "decompose", "recover_v", "revealed_order"), "decompose"),
+    **dict.fromkeys(
+        ("ChoiceDataset", "FitResult", "fit", "fit_alpha_mle", "support_from_counts"), "estimate"
+    ),
     **dict.fromkeys(
         ("EmpiricalRule", "GumbelLuceSampler", "IndependentRumSampler", "LexSampler",
          "empirical_rule", "lex_compose"),

@@ -16,62 +16,45 @@ carry the probabilities themselves (not the cross-multiplied forms), so
 they can be replayed against the raw definitions via :func:`replay_witness`.
 
 All checkers but positivity and full support quantify over nested pairs
-B ⊂ A of the family (odds independence over those with |B| = 2).
-:class:`_NestedPairs` owns the set encoding (sets as bitmasks over the
-universe) and lists the pairs by walking the submasks of each A against a
-mask-to-index table, or, when 2^|A| exceeds the family size |F|, by
-scanning the family for A's subsets; the cost is O(Σ_A min(2^|A|, |F|))
-rather than O(|F|²). A rule view walks the pairs once, in either mode, and
-that walk serves every checker: it counts their instances per pair, and it
-reads WARP off the support, as the pairs where supp p_A ∩ B is nonempty and
-those where supp p_B differs from it. In exact mode the same walk computes,
-for every j ∈ B, the residual
+B ⊂ A of the family (odds independence over those with |B| = 2), which
+:class:`_NestedPairs` lists by walking each A's submasks against a
+mask-to-index table, or by scanning the family when 2^|A| exceeds its size
+|F|. One split of those pairs per rule view serves every checker: it counts
+their instances and reads WARP off the support. In exact mode it lists the
+pairs with a nonzero residual r_j = N_A[j]·D_B − N_B[j]·M_AB for some j ∈ B
+(N a row's integer numerators, D_B B's denominator, M_AB = Σ_{j∈B} N_A[j]).
+Every pair-based identity is an integer combination of these residuals, so
+a pair whose residuals all vanish satisfies every instance (odds
+independence too: p(·, B) is then proportional to p(·, A) on B), and only
+the others are scanned instance by instance.
 
-    r_j = N_A[j]·D_B − N_B[j]·M_AB,    M_AB = Σ_{j∈B} N_A[j],
+On a complete family the exact split walks few pairs, by the source paper's
+theorem: a rule satisfies the choice axiom exactly when it is
+``general_luce_rule(Γ, v)`` with Γ a weak order's maximizers.
+:meth:`_RuleView.luce_fit` reads Γ and v off the pairs and lists M, the sets
+whose support is not Γ(A) or whose cells are off that Luce rule. A pair
+with neither set in M has zero residuals, a holding WARP instance and the
+counts of Γ, in closed form from |A| and |Γ(A)|; only the 2^|S| + 2^(n−|S|)
+pairs touching each S ∈ M are walked. A holding rule walks none. The full
+walk runs when v is undefined, when M touches over ``_LOCAL_PAIRS`` pairs,
+and on partial families.
 
-where N are a row's integer numerators and D_B is B's common denominator.
-Every pair-based identity is an integer combination of these residuals
-(choice axiom and Rényi conditioning: r_j itself; set choice and set
-intersection: Σ r_j over a subset of B; product rule:
-D_B·(N_B[k]N_A[j] − N_B[j]N_A[k]) = N_B[k]·r_j − N_B[j]·r_k), so a pair
-whose residuals all vanish satisfies every instance (odds independence
-too: p(·, B) is then proportional to p(·, A) on B, so the odds agree or the
-right side is 0/0 and skipped). Such a pair only adds its closed-form
-instance count; the per-instance scan runs on the other pairs alone, so
-verdicts, counts and witnesses match a full scan.
-
-On a complete family an exact rule first tries a certificate, which is the
-source paper's theorem used as the algorithm: a rule satisfies the choice
-axiom exactly when it is ``general_luce_rule(Γ, v)`` with Γ the maximizers
-of a weak order. :meth:`_RuleView.luce_fit` reads the order, Γ and v off
-the pairs and compares every cell with that Luce rule by integer
-cross-multiplication, in O(|F|·n) rather than Σ_A 2^|A|; ``decompose``
-takes its order, Γ and v from the same fit. A match is sound on its own,
-since it checks every cell: every residual then vanishes, the support is
-WARP, and the instance counts follow in closed form from |A| and |Γ(A)|.
-The theorem is what makes every holding rule match. On a mismatch, and on
-every partial family, the pair walk runs as above.
-
-Float mode cannot use residuals, since tolerances do not add up linearly, so
-it compares every instance, but in numpy. The walk keeps each set's subsets,
-which become arrays when a checker first needs them, so WARP alone loads no
-numpy. Per checker the view gathers p(j, A) and p(j, B) for j ∈ B over
-chunks of pairs of one size |B| and counts each pair's failing instances
-(the kernels ``_float_*``). The operations are the
-scalar scan's in the same order (masses summed left to right, subset masses
-highest member first, :func:`within_tolerance` with each checker's operand
-order), so each boolean equals the scalar one. The scalar loop then reruns
-on the failing pairs only, in scan order, until the witness cap is reached;
-the remaining failing pairs add their array counts.
+Float mode compares every instance, in one numpy pass that lists the pairs
+one size class at a time and feeds chunks of pairs of one size |B| to the
+kernels ``_float_*``, the instance counts and WARP. The operations are the
+scalar scan's in the same order, so each boolean equals the scalar one; the
+scalar loops then rerun on the failing pairs only, in scan order, until the
+witness cap. WARP alone scans the support masks in Python, without numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress, islice, repeat
+from itertools import combinations, compress, islice, repeat
 from operator import lt
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
@@ -204,8 +187,6 @@ class _NestedPairs:
     @staticmethod
     def every_mask(n: int) -> Iterator[int]:
         """Every nonempty mask over ``n`` bits in canonical order, generated lazily."""
-        from itertools import combinations
-
         bits = [1 << j for j in range(n)]
         for k in range(1, n + 1):
             yield from map(sum, combinations(bits, k))
@@ -271,19 +252,19 @@ class _PairShares(NamedTuple):
         )
 
 
-class _FloatPairs(NamedTuple):
-    """Float mode: the nested pairs of a family as arrays, for the array pass."""
+# Float pass arrays hold about this many instances (128 KiB of floats): a
+# chunk gathers at most _CHUNK cells p(j, A), _CHUNK // b pairs of one size
+# b, and set choice, with 2^b instances per pair, takes _CHUNK >> b at a time.
+_CHUNK = 1 << 14
 
-    inner: Any  # iB per pair, in scan order
-    outer: Any  # iA per pair
-    size: Any  # |B| per pair
-    by_size: Any  # pair positions sorted by |B|, scan order within a size
-    rows: Any  # the rows as a dense |F| × n array
-    members: Any  # each set's members in ascending order, zero-padded
+# Past this many nested pairs touching the misfit sets, the exact split walks
+# every pair instead. One misfit set S touches 2^|S| + 2^(n−|S|) − 3.
+_LOCAL_PAIRS = 1 << 17
 
 
-# Float pass chunks hold at most this many instances per array (64 KiB).
-_CHUNK = 1 << 13
+def _touching(k: int, n: int) -> int:
+    """Nested pairs of a complete n-family that hold a given k-set as B or as A."""
+    return (1 << k) + (1 << (n - k)) - 3
 
 
 def _fold_ascending(cols):
@@ -308,9 +289,8 @@ def _float_renyi(XA, XB, eps):
 
 def _float_product(XA, XB, eps):
     """Product rule: p(k, B)·p(j, A) against p(j, B)·p(k, A) for j < k in B."""
-    import numpy as np
-
-    J, K = np.triu_indices(XA.shape[1], 1)
+    pairs = list(combinations(range(XA.shape[1]), 2))
+    J, K = [j for j, _ in pairs], [k for _, k in pairs]
     return ~within_tolerance(XB[:, K] * XA[:, J], XB[:, J] * XA[:, K], eps)
 
 
@@ -324,25 +304,45 @@ def _float_odds(XA, XB, eps):
 
 
 def _subset_sums(X):
-    """Masses of every submask c of the columns, as :meth:`_RuleView.subset_sums`.
+    """Masses of every submask c of X's columns (rows) per row of X (columns).
 
-    Column c of the result is ``T[c] = T[c − low(c)] + X[low(c)]``, so the
-    highest member is added first, as in the scalar recurrence.
+    ``T[c] = T[c − low(c)] + X[low(c)]`` adds the highest member first, as
+    :meth:`_RuleView.subset_sums` does. Row r holds the c with r's k bits
+    reversed, so the rows adding one member are one block; the last is B.
     """
     import numpy as np
 
     k = X.shape[1]
-    T = np.zeros((X.shape[0], 1 << k))
-    for t in range(k - 1, -1, -1):
-        step = 2 << t
-        T[:, step >> 1::step] = T[:, ::step] + X[:, t:t + 1]
+    T = np.zeros((1 << k, X.shape[0]))
+    for h in range(k):
+        np.add(T[:1 << h], X[:, k - 1 - h], out=T[1 << h:2 << h])
     return T
 
 
 def _float_set_choice(XA, XB, eps):
-    """Set choice: p(C, A) against p(C, B)·p(B, A) for every nonempty C ⊆ B."""
-    TA, TB = _subset_sums(XA), _subset_sums(XB)
-    return ~within_tolerance(TA[:, 1:], TB[:, 1:] * TA[:, -1:], eps)
+    """Set choice: p(C, A) against p(C, B)·p(B, A) for every nonempty C ⊆ B, per pair.
+
+    A pair passes for every C when Σ_{j∈B} |p(j, A) − p(j, B)·p(B, A)| plus a
+    bound on all rounding (b·2^-46 times the masses, 8 times the worst case) is
+    below eps/2: each computed difference is then below eps, each computed
+    tolerance eps·(1 + |lhs| + |rhs|) at least eps. Other pairs compare all
+    2^|B| − 1 subset masses, ``_CHUNK`` instances at a time.
+    """
+    import numpy as np
+
+    b = XA.shape[1]
+    mass = _fold_ascending(XA.T)[:, None]
+    slop = np.abs(XA - XB * mass).sum(axis=1) * (1 + 2.0 ** -40)
+    slop += 2.0 ** -46 * b * (1 + np.abs(XA).sum(axis=1)) * (1 + np.abs(XB).sum(axis=1))
+    counts = np.zeros((len(XA), 1), dtype=np.int64)
+    loose = np.flatnonzero(~(slop < eps / 2))
+    step = max(1, _CHUNK >> b)
+    for s in range(0, len(loose), step):
+        rows = loose[s:s + step]
+        TA, TB = _subset_sums(XA[rows]), _subset_sums(XB[rows])
+        held = within_tolerance(TA[1:], TB[1:] * TA[-1], eps)
+        counts[rows, 0] = (1 << b) - 1 - np.count_nonzero(held, axis=0)
+    return counts
 
 
 # Each float kernel maps the gathered rows of a chunk of pairs, p(j, A) and
@@ -378,12 +378,10 @@ class _RuleView:
         self.dens: list[Value] = rule._dens  # type: ignore[attr-defined]
         self.nums: list[list[Value]] = rule._nums  # type: ignore[attr-defined]
         self._sums: dict[int, dict[int, Value]] = {}
-        # One pair walk serves both modes; its results are built on first use.
-        # Float mode keeps the walk's subsets per set until they become the
-        # pair arrays, and caches each axiom's failing pairs.
+        self._supports: dict[Value, list[int]] = {}
+        # The pair split serves both modes and is built on first use; float
+        # mode also keeps each axiom's failing pairs from the same pass.
         self._walked: _Split | None = None
-        self._subsets: list[list[int]] | None = None
-        self._pairs_np: _FloatPairs | None = None
         self._failures: dict[Axiom, tuple] = {}
 
     def eq(self, lhs: Value, rhs: Value) -> bool:
@@ -416,203 +414,229 @@ class _RuleView:
         return sums
 
     def scan_pairs(self, axiom: Axiom, out: "_Collector") -> Iterator[tuple[int, int]]:
-        """The nested pairs whose instances ``axiom``'s checker must scan one by one.
-
-        Exact mode yields the pairs with a nonzero residual. Float mode yields
-        the pairs where the array pass found a failing instance of ``axiom``;
-        once ``out`` holds :data:`WITNESS_CAP` witnesses it adds the failures
-        of the remaining pairs to the count without scanning them. Either
-        way the pairs come in the order of a full scan.
-        """
+        """The nested pairs, in scan order, that ``axiom``'s checker must scan one by
+        one: exact mode's nonzero residuals, or float mode's failing pairs, whose
+        rest adds its counts to ``out`` once it holds :data:`WITNESS_CAP` witnesses."""
+        split = self._split()
         if self.exact:
-            yield from self._split().failing
+            yield from split.failing
             return
-        pairs = self._float_pairs()
-        if axiom == Axiom.SET_INTERSECTION_RULE:
-            # Set intersection decides the set-choice comparisons; each failing
-            # C ⊆ B stands for the 2^(n − |B|) sets Y with Y ∩ B = C.
-            failing, counts = self._float_failures(Axiom.SET_CHOICE_AXIOM)
-            counts = counts << (self.n - pairs.size[failing])
-        else:
-            failing, counts = self._float_failures(axiom)
-        for t, p in enumerate(failing.tolist()):
+        inner, outer, counts = self._failures[axiom]
+        for t, pair in enumerate(zip(inner.tolist(), outer.tolist())):
             if len(out.witnesses) >= WITNESS_CAP:
                 out.count += int(counts[t:].sum())
                 return
-            yield int(pairs.inner[p]), int(pairs.outer[p])
+            yield pair
 
     def shares(self) -> _PairShares:
         """Instance counts over all nested pairs, which checkers credit in bulk."""
         return self._split().shares
 
-    def _float_pairs(self) -> _FloatPairs:
-        """The walk's subsets as arrays, built on first use (float mode only)."""
-        if self._pairs_np is None:
-            import numpy as np
-
-            self._split()  # the walk leaves each set's subsets in _subsets
-            subsets, self._subsets = self._subsets, None
-            iB = np.fromiter(chain.from_iterable(subsets), dtype=np.int32)
-            iA = np.repeat(np.arange(len(self.sets), dtype=np.int32), list(map(len, subsets)))
-            sizes = np.array([len(S) for S in self.sets], dtype=np.int32)
-            members = np.zeros((len(self.sets), int(sizes.max())), dtype=np.int32)
-            for i, mask in enumerate(self.masks):
-                members[i, :sizes[i]] = list(_iter_bits(mask))
-            k = sizes[iB]
-            self._pairs_np = _FloatPairs(
-                inner=iB,
-                outer=iA,
-                size=k,
-                by_size=np.argsort(k, kind="stable").astype(np.int32),
-                rows=np.array(self.nums, dtype=float),
-                members=members,
-            )
-        return self._pairs_np
-
-    def _float_pass(self, axiom: Axiom):
-        """Per nested pair, the number of instances where ``axiom``'s kernel fires.
-
-        Pairs go in chunks of one size |B| = k, at most ``_CHUNK`` instances
-        at a time; each chunk gathers p(j, A) and p(j, B) for j ∈ B from the
-        dense rows and hands them to the kernel.
-        """
-        import numpy as np
-
-        kernel = _FLOAT_KERNELS[axiom]
-        pairs = self._float_pairs()
-        counts = np.zeros(len(pairs.inner), dtype=np.int64)
-        start = 0
-        for k, end in enumerate(np.cumsum(np.bincount(pairs.size)).tolist()):
-            group, start = pairs.by_size[start:end], end
-            if axiom == Axiom.ODDS_INDEPENDENCE and k != 2:
-                continue  # odds independence has instances on |B| = 2 only
-            step = max(1, _CHUNK >> k)
-            for s in range(0, len(group), step):
-                idx = group[s:s + step]
-                cols = pairs.members[pairs.inner[idx], :k]
-                XA = pairs.rows[pairs.outer[idx, None], cols]
-                XB = pairs.rows[pairs.inner[idx, None], cols]
-                counts[idx] = kernel(XA, XB, self.eps).sum(axis=1)
-        return counts
-
-    def _float_failures(self, axiom: Axiom):
-        """Positions (in scan order) and failure counts of ``axiom``'s failing pairs."""
-        found = self._failures.get(axiom)
-        if found is None:
-            counts = self._float_pass(axiom)
-            failing = counts.nonzero()[0]
-            found = self._failures[axiom] = (failing, counts[failing])
-        return found
-
     def support_masks(self, floor: Value) -> list[int]:
         """Per set A, the bitmask of the members j with p(j, A) > ``floor`` ≥ 0."""
-        bits = [1 << j for j in range(self.n)]
-        return [sum(compress(bits, map(lt, repeat(floor), num))) for num in self.nums]
+        found = self._supports.get(floor)
+        if found is None:
+            bits = [1 << j for j in range(self.n)]
+            found = [sum(compress(bits, map(lt, repeat(floor), num))) for num in self.nums]
+            self._supports[floor] = found
+        return found
 
-    def luce_fit(self) -> tuple[list[int], list[int], list[Value] | None, tuple | None]:
+    def luce_fit(self) -> tuple[list[int], list[int], list[Value] | None, list[tuple]]:
         """How the rule fits ``general_luce_rule(Γ, v)``, Γ a weak order's maximizers.
 
-        Needs every pair in the family. Returns (ranks, Γ, v, misfit): an
-        alternative's rank is the number of pairs that give it no mass, Γ(A)
-        is the members of A of least rank, as one bitmask per set, and v is
-        the binary odds against the lowest-index member of the rank. The
-        misfit is (A, None) for the first set, in family order, whose support
-        is not Γ(A) (v is then None); else (A, j) for the first cell of a
-        Γ(A), in family and then member order, off the Luce rule; else None,
-        sets and members by index. Exact cells must satisfy
-        N_A[j]·Σ_{Γ(A)} w = w_j·D_A, w the v scaled to integers by one lcm;
-        float cells ``within_tolerance(v_j / Σ_{Γ(A)} v, p(j, A), eps)``, the
-        sum in label order. Cells off Γ(A) are 0 on both sides once supports match.
+        Needs every pair. Returns (ranks, Γ, v, misfits): ranks count the pairs
+        that give an alternative no mass, Γ(A) is A's members of least rank (a
+        bitmask per set), v the binary odds against each rank's lowest index,
+        None when a pair it is read from has support other than Γ. Misfits
+        (indices) are (A, None) for each set whose support is not Γ(A), then,
+        with v, (A, j) for each other set's first cell of Γ(A) off the Luce
+        rule: N_A[j]·Σ_{Γ(A)} w = w_j·D_A (w the v over one lcm), or within eps
+        of v_j / Σ_{Γ(A)} v summed in label order. The cells stop once the
+        misfits touch :data:`_LOCAL_PAIRS` pairs; the first misfit is kept.
         """
         nums, n, index, exact, eps = self.nums, self.n, self.pairs.index, self.exact, self.eps
         support = self.support_masks(0 if exact else eps)
         ranks, best_first, gammas = _least_rank(self.pairs, support)
-        for i, (supp, gamma) in enumerate(zip(support, gammas)):
-            if supp != gamma:
-                return ranks, gammas, None, (i, None)
+        misfits: list[tuple[int, int | None]] = [
+            (i, None) for i, (supp, gamma) in enumerate(zip(support, gammas)) if supp != gamma
+        ]
         v: list[Value] = [Fraction(1) if exact else 1.0] * n
         for tier in best_first:
             r = (tier & -tier).bit_length() - 1  # the tier's lowest index
             for j in _iter_bits(tier & (tier - 1)):
-                num = nums[index[(1 << j) | (1 << r)]]
+                pair = index[(1 << j) | (1 << r)]
+                if support[pair] != gammas[pair]:
+                    return ranks, gammas, None, misfits
+                num = nums[pair]
                 v[j] = Fraction(num[j], num[r]) if exact else num[j] / num[r]
         w = _over_lcm(v)[1] if exact else v
+        touched = sum(_touching(self.masks[i].bit_count(), n) for i, _ in misfits)
+        off = {i for i, _ in misfits}
         for i, (gamma, num, den) in enumerate(zip(gammas, nums, self.dens)):
+            if touched > _LOCAL_PAIRS:
+                break
+            if i in off:
+                continue
             bits = list(_iter_bits(gamma))
             total = sum(map(w.__getitem__, bits))
             for j in bits:
                 if not (num[j] * total == w[j] * den if exact
                         else within_tolerance(w[j] / total, num[j], eps)):
-                    return ranks, gammas, v, (i, j)
-        return ranks, gammas, v, None
-
-    def certificate(self) -> list[int] | None:
-        """Γ per set when the rule is exact, the family complete and :meth:`luce_fit` fits."""
-        if not (self.exact and self.pairs.family.all_subsets):
-            return None
-        _, gammas, _, misfit = self.luce_fit()
-        return None if misfit else gammas
+                    misfits.append((i, j))
+                    touched += _touching(self.masks[i].bit_count(), n)
+                    break
+        return ranks, gammas, v, misfits
 
     def _split(self) -> "_Split":
-        """The pair walk's results, built on first use: the certificate's when it holds."""
+        """The pair split, built on first use: float mode's array pass; in exact
+        mode the local split around the Luce fit's misfits, else the full walk."""
         if self._walked is None:
-            gammas = self.certificate()
-            self._walked = (
-                self._walk() if gammas is None else _certified_split(self.masks, gammas, self.n)
-            )
+            if self.exact:
+                self._walked = self._local_split() or self._walk()
+            else:
+                self._walked = self._float_split()
         return self._walked
 
-    def _walk(self) -> "_Split":
-        """One walk over the nested pairs, in either mode: pair shares and WARP.
+    def _local_split(self) -> "_Split | None":
+        """The exact split on a complete family from the Luce fit; None for the full walk.
 
-        The shares count the support at the view's eps, WARP reads it at the
-        rule's own (in exact mode both are p > 0, so one cut serves both).
-        Exact mode also lists the pairs with a nonzero residual; float mode
-        keeps each set's subsets for :meth:`_float_pairs`.
+        Γ's counts come in closed form from the histogram of (|A|, |Γ(A)|) =
+        (k, g): C(k, b) subsets of size b, 2^(k−1) − 1 holding each j ∈ Γ(A),
+        C(k, 2) − C(k − g, 2) 2-subsets meeting Γ(A) (k ≥ 3), 2^k − 2^(k−g) − 1
+        holding WARP instances. The pairs (B, S) and (S, A) of each misfit S
+        are walked in scan order twice, against Γ and against the rule, and
+        swap Γ's terms for the rule's.
         """
-        nums, dens, masks, exact = self.nums, self.dens, self.masks, self.exact
-        bits = [list(_iter_bits(m)) for m in masks]
-        counted = self.support_masks(0 if exact else self.eps)
-        recut = not exact and self.eps != self.rule.eps
-        support = self.support_masks(self.rule.eps) if recut else counted
-        failing: list[tuple[int, int]] = []
-        warp_failing: list[tuple[int, int]] = []
-        kept: list[list[int]] = []
+        if not (self.exact and self.pairs.family.all_subsets):
+            return None
+        _, gammas, v, misfits = self.luce_fit()
+        n, masks, index = self.n, self.masks, self.pairs.index
+        if v is None or sum(_touching(masks[i].bit_count(), n) for i, _ in misfits) > _LOCAL_PAIRS:
+            return None
+        histogram = Counter(zip(map(int.bit_count, masks), map(int.bit_count, gammas)))
+        per_size = [0] * (n + 1)
+        supported = odds = warp_checked = 0
+        for (k, g), count in histogram.items():
+            for b in range(1, k):
+                per_size[b] += count * math.comb(k, b)
+            supported += count * g * ((1 << (k - 1)) - 1)
+            if k >= 3:
+                odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
+            warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
+        shares = _PairShares.from_sizes(per_size, supported, odds)
+        touched: set[tuple[int, int]] = set()
+        for s, _ in misfits:
+            touched.update((iB, s) for iB in self.pairs.subsets_of(s))
+            mS = masks[s]
+            sup = rest = ((1 << n) - 1) & ~mS
+            while sup:
+                touched.add((s, index[mS | sup]))
+                sup = (sup - 1) & rest
+        if not touched:
+            return _Split([], shares, gammas, warp_checked, [])
+        pairs = sorted(touched, key=lambda pair: (pair[1], pair[0]))
+        walked = _walk_pairs(self.pairs, self.support_masks(0), pairs, (self.dens, self.nums))
+        held = _walk_pairs(self.pairs, gammas, pairs)
+        shares = _PairShares(*(c + w - h for c, w, h in zip(shares, walked.shares, held.shares)))
+        warp_checked += walked.warp_checked - held.warp_checked
+        return walked._replace(shares=shares, warp_checked=warp_checked)
+
+    def _walk(self) -> "_Split":
+        """The full exact walk over every nested pair, in scan order."""
+        return _walk_pairs(self.pairs, self.support_masks(0), rows=(self.dens, self.nums))
+
+    def _float_split(self) -> "_Split":
+        """Float mode's one numpy pass: shares at the view's eps, WARP at the rule's,
+        and per axiom the failing pairs in scan order with their failure counts
+        (set intersection's are set choice's, times 2^(n − |B|) sets Y per C)."""
+        import numpy as np
+
+        eps, floor = self.eps, self.rule.eps
+        rows = np.array(self.nums, dtype=float)
+        found: dict[Axiom, list] = {axiom: [] for axiom in (*_FLOAT_KERNELS, Axiom.WARP)}
         per_size = [0] * (self.n + 1)
         supported = odds = warp_checked = 0
-        subsets_of = self.pairs.subsets_of
-        for iA, num_A in enumerate(nums):
-            subsets = subsets_of(iA)
-            if not exact:
-                kept.append(subsets)
-            counted_A, support_A, of_A = counted[iA], support[iA], num_A.__getitem__
-            for iB in subsets:
-                bits_B = bits[iB]
-                if exact:
-                    num_B, den_B = nums[iB], dens[iB]
-                    mass_AB = sum(map(of_A, bits_B))
-                    for j in bits_B:
-                        if num_A[j] * den_B != num_B[j] * mass_AB:
-                            failing.append((iB, iA))
-                            break
-                per_size[len(bits_B)] += 1
-                cut = counted_A & masks[iB]
-                if cut:
-                    supported += cut.bit_count()
-                    odds += len(bits_B) == 2
-                if recut:
-                    cut = support_A & masks[iB]
-                if cut:
-                    warp_checked += 1
-                    if support[iB] != cut:
-                        warp_failing.append((iB, iA))
-        self._subsets = kept
+        for iA, iB, cols in self._pair_chunks(np):
+            b = cols.shape[1]
+            XA, XB = rows[iA[:, None], cols], rows[iB[:, None], cols]
+            per_size[b] += len(iA)
+            cut = XA > eps
+            supported += int(np.count_nonzero(cut))
+            if b == 2:
+                odds += int(np.count_nonzero(cut.any(axis=1)))
+            if floor != eps:
+                cut = XA > floor
+            hit = cut.any(axis=1)
+            warp_checked += int(np.count_nonzero(hit))
+            counts = {Axiom.WARP: hit & (cut != (XB > floor)).any(axis=1)}
+            for axiom, kernel in _FLOAT_KERNELS.items():
+                if axiom != Axiom.ODDS_INDEPENDENCE or b == 2:  # odds: |B| = 2 only
+                    counts[axiom] = kernel(XA, XB, eps).sum(axis=1)
+            for axiom, count in counts.items():
+                at = count.nonzero()[0]
+                if len(at):
+                    found[axiom].append((iB[at], iA[at], count[at].astype(np.int64)))
+        for axiom, parts in found.items():
+            parts = parts or [[np.zeros(0, dtype=int)] * 3]
+            inner, outer, count = (np.concatenate(x) for x in zip(*parts))
+            order = np.lexsort((inner, outer))
+            self._failures[axiom] = (inner[order], outer[order], count[order])
+        if self.n <= MAX_ENUM_UNIVERSE:  # set intersection refuses larger universes
+            inner, outer, count = self._failures[Axiom.SET_CHOICE_AXIOM]
+            sizes = np.array(list(map(int.bit_count, self.masks)))
+            count = count << (self.n - sizes[inner])
+            self._failures[Axiom.SET_INTERSECTION_RULE] = (inner, outer, count)
+        inner, outer, _ = self._failures.pop(Axiom.WARP)
         shares = _PairShares.from_sizes(per_size, supported, odds)
-        return _Split(failing, shares, support, warp_checked, warp_failing)
+        warp_failing = list(zip(inner.tolist(), outer.tolist()))
+        return _Split([], shares, self.support_masks(floor), warp_checked, warp_failing)
+
+    def _pair_chunks(self, np) -> Iterator[tuple[Any, Any, Any]]:
+        """The nested pairs as chunks (iA, iB, cols) of one size |B| = b, cols B's members.
+
+        Up to ``MAX_ENUM_UNIVERSE`` alternatives a k-set with 2^k ≤ |F| takes its
+        b-subsets from the b-combinations of its k members, and a dense 2^n table
+        maps their masks to family indices (-1 if absent); other sets scan the
+        family's membership matrix. The pairs of a chunk come in no set order.
+        """
+        masks, n, size = self.masks, self.n, len(self.masks)
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+        member = np.unpackbits(packed.reshape(size, width), axis=1, count=n, bitorder="little") > 0
+        sizes = member.sum(axis=1)
+        members = np.argsort(~member, axis=1, kind="stable")  # each row's members first
+        dense = n <= MAX_ENUM_UNIVERSE
+        if dense:
+            index = np.full(1 << n, -1, dtype=np.intp)
+            index[np.array(masks, dtype=np.int64)] = np.arange(size)
+        start = 0
+        for k in range(1, int(sizes.max()) + 1):
+            first = start
+            start += int(np.count_nonzero(sizes == k))  # the family is in size order
+            if dense and 1 << k <= size:
+                for b in range(1, k):
+                    local = np.array(list(combinations(range(k), b)), dtype=np.intp)
+                    total, step = (start - first) * len(local), _CHUNK // b
+                    for s in range(0, total, step):
+                        p = np.arange(s, min(s + step, total))
+                        iA = first + p // len(local)
+                        cols = members[iA[:, None], local[p % len(local)]]
+                        iB = index[(1 << cols).sum(axis=1)]
+                        keep = iB >= 0
+                        if keep.any():
+                            yield iA[keep], iB[keep], cols[keep]
+                continue
+            for iA in range(first, start):
+                subsets = np.flatnonzero(~(member[:first] & ~member[iA]).any(axis=1))
+                for b in range(1, k):
+                    of_size, step = subsets[sizes[subsets] == b], _CHUNK // b
+                    for s in range(0, len(of_size), step):
+                        iB = of_size[s:s + step]
+                        yield np.full(len(iB), iA), iB, members[iB, :b]
 
 
 class _Split(NamedTuple):
-    """What the one walk over the nested pairs finds."""
+    """What the split of the nested pairs finds."""
 
     failing: list[tuple[int, int]]  # exact mode: pairs with a nonzero residual, in scan order
     shares: _PairShares
@@ -621,30 +645,43 @@ class _Split(NamedTuple):
     warp_failing: list[tuple[int, int]]  # of those, where supp p_B differs from the cut
 
 
-def _certified_split(masks: list[int], gammas: list[int], n: int) -> _Split:
-    """The split of a certified rule on a complete family: every residual is 0.
-
-    The counts come in closed form from the histogram of (|A|, |Γ(A)|) = (k, g).
-    A k-set has C(k, b) proper subsets of size b; j ∈ Γ(A) lies in
-    2^(k−1) − 1 of them; C(k, 2) − C(k − g, 2) of its 2-subsets meet Γ(A)
-    (k ≥ 3); and a proper subset misses Γ(A) only inside A − Γ(A), which leaves
-    2^k − 2^(k−g) − 1 WARP instances, all holding since the support is Γ.
-    """
-    histogram: dict[tuple[int, int], int] = {}
-    for mask, gamma in zip(masks, gammas):
-        key = (mask.bit_count(), gamma.bit_count())
-        histogram[key] = histogram.get(key, 0) + 1
-    per_size = [0] * (n + 1)
+def _walk_pairs(
+    index: _NestedPairs,
+    support: list[int],
+    pairs: Iterable[tuple[int, int]] | None = None,
+    rows: tuple[list[Value], list[list[Value]]] | None = None,
+) -> _Split:
+    """Walk ``pairs`` (B, A) in scan order, by default all: shares and WARP off
+    ``support`` and, given exact rows (D_A, N_A), the pairs with a nonzero residual."""
+    masks = index.masks
+    if pairs is None:
+        pairs = ((iB, iA) for iA in range(len(masks)) for iB in index.subsets_of(iA))
+    dens, nums = rows or ([], [])
+    bits = [list(_iter_bits(m)) for m in masks] if rows else []
+    failing: list[tuple[int, int]] = []
+    warp_failing: list[tuple[int, int]] = []
+    per_size = [0] * (len(index.labels) + 1)
     supported = odds = warp_checked = 0
-    for (k, g), count in histogram.items():
-        for b in range(1, k):
-            per_size[b] += count * math.comb(k, b)
-        supported += count * g * ((1 << (k - 1)) - 1)
-        if k >= 3:
-            odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
-        warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
+    for iB, iA in pairs:
+        mB = masks[iB]
+        if rows:
+            num_A, num_B, den_B = nums[iA], nums[iB], dens[iB]
+            mass_AB = sum(map(num_A.__getitem__, bits[iB]))
+            for j in bits[iB]:
+                if num_A[j] * den_B != num_B[j] * mass_AB:
+                    failing.append((iB, iA))
+                    break
+        size = mB.bit_count()
+        per_size[size] += 1
+        cut = support[iA] & mB
+        if cut:
+            supported += cut.bit_count()
+            odds += size == 2
+            warp_checked += 1
+            if support[iB] != cut:
+                warp_failing.append((iB, iA))
     shares = _PairShares.from_sizes(per_size, supported, odds)
-    return _Split([], shares, gammas, warp_checked, [])
+    return _Split(failing, shares, support, warp_checked, warp_failing)
 
 
 class _Collector:
@@ -851,15 +888,17 @@ def check_set_intersection_rule(
 def _check_zero_cells(
     view: _RuleView, axiom: Axiom, sets: Iterable[int], detail: str, complete: bool
 ) -> AxiomReport:
-    """The scan behind positivity and full support: is p(a, A) > 0 for A in ``sets``?"""
+    """The scan behind positivity and full support: is p(a, A) > 0 for A in ``sets``?
+
+    The zero cells are the members missing from the view's support masks.
+    """
     rule = view.rule
+    support = view.support_masks(0 if view.exact else view.eps)
     out = _Collector()
     checked = 0
     for i in sets:
-        for j in _iter_bits(view.masks[i]):
-            checked += 1
-            if view.positive(view.nums[i][j]):
-                continue
+        checked += view.masks[i].bit_count()
+        for j in _iter_bits(view.masks[i] & ~support[i]):
             A, a = view.sets[i], view.labels[j]
             out.add(lambda A=A, a=a: Witness(
                 axiom=axiom,
@@ -911,18 +950,21 @@ def check_warp(corr: ChoiceCorrespondence) -> AxiomReport:
     string spells out Γ(B) against Γ(A) ∩ B.
     """
     pairs = _NestedPairs(corr.family)
+    return _warp_scan(pairs, [pairs.mask(corr.table[A].members) for A in pairs.sets])
+
+
+def _warp_scan(pairs: _NestedPairs, gammas: list[int]) -> AxiomReport:
+    """WARP of the bitmasks ``gammas``, one per set, over every nested pair."""
     masks = pairs.masks
-    gammas = [pairs.mask(corr.table[A].members) for A in pairs.sets]
     failing: list[tuple[int, int]] = []
     checked = 0
     for iA, gamma_A in enumerate(gammas):
         for iB in pairs.subsets_of(iA):
             cut = gamma_A & masks[iB]
-            if cut == 0:
-                continue
-            checked += 1
-            if gammas[iB] != cut:
-                failing.append((iB, iA))
+            if cut:
+                checked += 1
+                if gammas[iB] != cut:
+                    failing.append((iB, iA))
     return _warp_report(pairs, gammas, failing, checked)
 
 
@@ -980,12 +1022,11 @@ def check_renyi_conditioning(
 def _check_support_warp(
     rule: RandomChoiceRule, *, eps: float | None = None, _view: _RuleView | None = None
 ) -> AxiomReport:
-    """WARP of the rule's support, read off the view's rows at the rule's own eps.
-
-    Both modes take the failing pairs and the count from the view's one pair
-    walk, which the other checkers share (or from its certificate).
-    """
+    """WARP of the rule's support at the rule's own eps, from the view's split in
+    exact mode and after the float pass; float WARP alone walks the support masks."""
     view = _view or _RuleView(rule)
+    if not (view.exact or view._walked):
+        return _warp_scan(view.pairs, view.support_masks(rule.eps))
     split = view._split()
     return _warp_report(view.pairs, split.support, split.warp_failing, split.warp_checked)
 

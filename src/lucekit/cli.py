@@ -9,9 +9,9 @@ randomness is governed by ``--seed``, and repeated invocations with the same
 arguments produce byte-identical output.
 
 Only ``simulate``, ``fit`` and the float-mode checkers (``check`` and
-``decompose`` on a float rule, ``check --mode float``) load numpy. On exact
-inputs ``check``, ``decompose``, ``synthesize`` and ``limit`` never import
-it, which keeps their process start short.
+``decompose`` on a float rule, ``check --mode float``) load numpy, and each
+command imports what it runs when it runs (``check`` runs neither
+``lucekit.decompose`` nor ``lucekit.estimate``), keeping process start short.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (
     WeakOrder,
     check_eps,
 )
-from .decompose import decompose as run_decompose
 from .documents import (
     _build,
     _decode_set,
@@ -47,7 +46,6 @@ from .errors import (
     LucekitError,
     NotRationalError,
 )
-from .estimate import ChoiceDataset, fit as run_fit
 from .synthesize import (
     general_luce_rule,
     general_luce_rule_from_utility,
@@ -133,6 +131,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .decompose import decompose as run_decompose
+
     rule = read_document(args.rule, kind="rule")
     report = check_choice_axiom(rule)
     if not report.holds:
@@ -185,6 +185,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .estimate import ChoiceDataset
     from .rum import GumbelLuceSampler, IndependentRumSampler, LexSampler, empirical_rule
 
     if args.draws < 1:
@@ -214,6 +215,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .estimate import fit as run_fit
+
     data = read_document(args.dataset, kind="dataset")
     try:
         result = run_fit(data, pseudo_count=args.pseudo_count)

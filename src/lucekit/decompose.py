@@ -84,8 +84,9 @@ def _revealed(rule: RandomChoiceRule) -> tuple[_RuleView, WeakOrder, list[int], 
     if not rule.family.contains_all_pairs():
         raise MissingPairsError("revealed order needs every pair in the family")
     view = _RuleView(rule)
-    ranks, gammas, v, misfit = view.luce_fit()
-    if v is None:
+    ranks, gammas, v, misfits = view.luce_fit()
+    misfit = misfits[0] if misfits else None
+    if misfit is not None and misfit[1] is None:  # a support that is not Γ
         warp = check_warp(support_correspondence(rule))
         if not warp.holds:
             raise NotRationalError(

@@ -19,7 +19,7 @@ import math
 import reprlib
 import sys
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .axioms import Axiom, AxiomReport, Witness
 from .core import (
@@ -34,10 +34,12 @@ from .core import (
     Value,
     WeakOrder,
 )
-from .decompose import LuceDecomposition
 from .errors import DocumentError
-from .estimate import ChoiceDataset, FitResult
 from .synthesize import LimitReport, LuceWeights
+
+if TYPE_CHECKING:
+    from .decompose import LuceDecomposition
+    from .estimate import ChoiceDataset, FitResult
 
 DOCUMENT_VERSION = "1"
 
@@ -260,6 +262,8 @@ def _dataset_payload(data: ChoiceDataset) -> dict:
 
 
 def _decode_dataset(payload: dict) -> ChoiceDataset:
+    from .estimate import ChoiceDataset
+
     universe = _decode_universe(payload)
     obs = {
         A: _shape(row.get("counts"), dict, "counts of {}", A)
@@ -331,6 +335,8 @@ def _decomposition_payload(dec: LuceDecomposition) -> dict:
 
 
 def _decode_decomposition(payload: dict) -> LuceDecomposition:
+    from .decompose import LuceDecomposition
+
     gamma = _decode_correspondence(_shape(payload.get("gamma"), dict, "decomposition 'gamma'"))
     classes = tuple(
         tuple(_strings(group, "decomposition class"))
@@ -372,6 +378,8 @@ def fit_result_payload(result: FitResult) -> dict:
 
 
 def _decode_fit_result(payload: dict) -> FitResult:
+    from .estimate import FitResult
+
     alpha = payload.get("alpha_hat")
     ll = payload.get("log_likelihood")
     stop = payload.get("stop_reason")
@@ -415,7 +423,7 @@ def _decode_limit_report(payload: dict) -> LimitReport:
 
 
 def _report_payload(obj: Any) -> dict:
-    if isinstance(obj, FitResult):
+    if _is_a(obj, ("estimate.FitResult",)):
         return fit_result_payload(obj)
     if isinstance(obj, LimitReport):
         return limit_report_payload(obj)
@@ -438,16 +446,29 @@ def _decode_report(payload: dict) -> dict:
     raise DocumentError(f"unknown report type {reprlib.repr(kind)}")
 
 
-# kind -> (type that infers the kind, payload encoder, payload decoder). A
+def _is_a(obj: Any, names: tuple[str, ...]) -> bool:
+    """Whether ``obj`` is an instance of one of the types ``names``, each
+    ``module.Type`` in lucekit; told by name, so that inference imports nothing."""
+    return any(
+        f"{c.__module__.removeprefix('lucekit.')}.{c.__qualname__}" in names
+        for c in type(obj).__mro__
+    )
+
+
+# kind -> (the types that infer the kind, payload encoder, payload decoder). A
 # utility is a plain mapping, so it is encoded only when named explicitly.
 _CODECS = {
-    "rule": (RandomChoiceRule, _rule_payload, _decode_rule),
-    "correspondence": (ChoiceCorrespondence, _correspondence_payload, _decode_correspondence),
-    "weights": (LuceWeights, _weights_payload, _decode_weights),
+    "rule": (("core.RandomChoiceRule",), _rule_payload, _decode_rule),
+    "correspondence": (
+        ("core.ChoiceCorrespondence",), _correspondence_payload, _decode_correspondence
+    ),
+    "weights": (("synthesize.LuceWeights",), _weights_payload, _decode_weights),
     "utility": ((), _utility_payload, _decode_utility),
-    "dataset": (ChoiceDataset, _dataset_payload, _decode_dataset),
-    "report": ((FitResult, LimitReport), _report_payload, _decode_report),
-    "decomposition": (LuceDecomposition, _decomposition_payload, _decode_decomposition),
+    "dataset": (("estimate.ChoiceDataset",), _dataset_payload, _decode_dataset),
+    "report": (("estimate.FitResult", "synthesize.LimitReport"), _report_payload, _decode_report),
+    "decomposition": (
+        ("decompose.LuceDecomposition",), _decomposition_payload, _decode_decomposition
+    ),
 }
 KINDS = tuple(_CODECS)
 
@@ -466,7 +487,7 @@ def to_document(obj: Any, *, kind: str | None = None) -> dict:
     its kind explicitly.
     """
     if kind is None:
-        kind = next((k for k, (cls, _, _) in _CODECS.items() if isinstance(obj, cls)), None)
+        kind = next((k for k, (cls, _, _) in _CODECS.items() if _is_a(obj, cls)), None)
         if kind is None:
             raise DocumentError(f"cannot infer document kind for {type(obj).__name__}")
     _, encode, _ = _codec(kind)

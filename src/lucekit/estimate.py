@@ -24,8 +24,7 @@ from .axioms import AxiomReport, check_warp
 from .core import ChoiceCorrespondence, ChoiceFamily, ChoiceSet, Universe
 from .errors import CountsOffSupportError, NotRationalError
 
-# numpy loads inside the fit only: documents imports ChoiceDataset and
-# FitResult, and exact commands must not pay for numpy.
+# numpy loads inside the fit only: a dataset or a fit result needs none.
 if TYPE_CHECKING:
     import numpy as np
 

@@ -393,8 +393,12 @@ class TestOneIndexPerRule:
         rule = make_rule(rng, family, True, perturb).as_float()
         reference = oracle.check_all(rule, eps=eps)
         calls = count_walks(monkeypatch)
+        passes = []
+        real = axioms._RuleView._float_split
+        monkeypatch.setattr(axioms._RuleView, "_float_split", lambda view: passes.append(1) or real(view))
         ours = check_all(rule, eps=eps)
-        assert len(calls) == len(rule.family)  # shares, WARP and the arrays from one walk
+        # Shares, WARP and the kernels come from one array pass, with no Python walk.
+        assert passes == [1] and calls == []
         assert encoded(list(ours.values())) == encoded(list(reference.values()))
         if perturb and kind == "complete":
             assert not ours[Axiom.CHOICE_AXIOM].holds
@@ -474,9 +478,18 @@ def count_walks(monkeypatch) -> list:
     return calls
 
 
+def certificate(view):
+    """Γ per set when the rule is exact, the family complete and the Luce fit has no misfit."""
+    if not (view.exact and view.pairs.family.all_subsets):
+        return None
+    _, gammas, _, misfits = view.luce_fit()
+    return None if misfits else gammas
+
+
 def without_certificate(monkeypatch, rule) -> str:
+    """The report with the local split turned off, so that the full walk runs."""
     with monkeypatch.context() as m:
-        m.setattr(axioms._RuleView, "certificate", lambda self: None)
+        m.setattr(axioms._RuleView, "_local_split", lambda self: None)
         return encoded(list(check_all(rule).values()))
 
 
@@ -525,7 +538,7 @@ class TestCertificate:
     )
     def test_hypothesis_rules_match_the_walk_and_the_oracle(self, seed, n, selective):
         rule = holding_rule(n, seed, selective)
-        assert axioms._RuleView(rule).certificate() is not None
+        assert certificate(axioms._RuleView(rule)) is not None
         with pytest.MonkeyPatch.context() as m:
             calls = count_walks(m)
             ours = encoded(list(check_all(rule).values()))
@@ -541,7 +554,7 @@ class TestCertificate:
         order = WeakOrder.from_classes(universe, [["b", "d"], ["a", "c", "e"]])
         gamma = correspondence_from_order(order, ChoiceFamily.of_all_subsets(universe))
         rule = near_miss(general_luce_rule(gamma, helpers.random_rational_weights(universe, rng)), kind, rng)
-        assert axioms._RuleView(rule).certificate() is None
+        assert certificate(axioms._RuleView(rule)) is None
         ours, reference = check_all(rule), oracle.check_all(rule)
         assert not ours[Axiom.CHOICE_AXIOM].holds
         assert encoded(list(ours.values())) == encoded(list(reference.values()))
@@ -550,18 +563,240 @@ class TestCertificate:
         rng = random.Random(7)
         partial = make_rule(rng, partial_family(rng), True, False)
         complete = holding_rule(4, 7, True)
-        assert axioms._RuleView(partial).certificate() is None
-        assert axioms._RuleView(complete.as_float()).certificate() is None
-        assert axioms._RuleView(complete).certificate() is not None
+        assert certificate(axioms._RuleView(partial)) is None
+        assert certificate(axioms._RuleView(complete.as_float())) is None
+        assert certificate(axioms._RuleView(complete)) is not None
 
     @pytest.mark.parametrize("selective", [False, True])
     @pytest.mark.parametrize("n", range(1, 8))
     def test_closed_form_counts_equal_the_walk(self, n, selective):
         view = axioms._RuleView(holding_rule(n, 200 + n, selective))
-        gammas = view.certificate()
+        gammas = certificate(view)
         assert gammas == view.support_masks(0)
-        assert axioms._certified_split(view.masks, gammas, view.n) == view._walk()
+        assert view._local_split() == view._walk()
 
     @pytest.mark.parametrize("n", range(11))
     def test_every_mask_is_the_canonical_order(self, n):
         assert list(axioms._NestedPairs.every_mask(n)) == axioms._NestedPairs.canonical(range(1, 1 << n))
+
+
+def edit_rows(rule, rng: random.Random, kind: str, count: int):
+    """``rule`` with ``count`` rows moved off the general Luce form.
+
+    ``shift``, ``cut`` and ``swap`` are :func:`near_miss` edits of random rows;
+    ``pairs`` shifts the mass of pair rows (those that v is read from
+    included); ``nested`` edits a set and then one of its subsets.
+    """
+    for _ in range(count):
+        table = {A: dict(rule.row(A)) for A in rule.family}
+        full_pairs = [A for A in rule.family if len(A) == 2 and all(table[A].values())]
+        if kind == "pairs" and full_pairs:
+            A = rng.choice(full_pairs)
+            x, y = A.members
+            table[A][x], table[A][y] = table[A][x] / 2, table[A][y] + table[A][x] / 2
+            rule = RandomChoiceRule(rule.family, table, mode="exact")
+        elif kind == "nested" and full_pairs:
+            rule = near_miss(rule, "shift", rng)
+            (S,) = [A for A in rule.family if rule.row(A) != table[A]]
+            inner = [B for B in rule.family if 2 <= len(B) < len(S) and set(B) < set(S)]
+            if inner:  # move mass inside a subset of the edited set too
+                B = rng.choice(inner)
+                x, y = rng.sample(B.members, 2)
+                table = {A: dict(rule.row(A)) for A in rule.family}
+                table[B][x], table[B][y] = table[B][x] / 3, table[B][y] + 2 * table[B][x] / 3
+                rule = RandomChoiceRule(rule.family, table, mode="exact")
+        elif any(sum(map(bool, rule.row(A).values())) >= 2 for A in rule.family):
+            rule = near_miss(rule, kind, rng)
+    return rule
+
+
+class TestLocalSplit:
+    """Exact rules off the Luce form walk only the pairs that touch their misfits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        n=st.integers(min_value=3, max_value=6),
+        selective=st.booleans(),
+        kind=st.sampled_from(["shift", "cut", "swap", "pairs", "nested"]),
+        count=st.integers(min_value=1, max_value=3),
+    )
+    def test_local_split_equals_the_walk(self, seed, n, selective, kind, count):
+        rng = random.Random(seed)
+        rule = holding_rule(n, seed, selective)
+        assume(any(sum(map(bool, rule.row(A).values())) >= 2 for A in rule.family))
+        if kind == "swap" and all(all(rule.row(A).values()) for A in rule.family):
+            kind = "shift"  # a full-support rule has no zero to swap with
+        rule = edit_rows(rule, rng, kind, count)
+        view = axioms._RuleView(rule)
+        local = view._local_split()
+        # The failing pairs, the shares, the WARP count and its failing pairs.
+        assert (local or view._split()) == view._walk()
+        assert (local is None) == (view.luce_fit()[2] is None)
+
+    @pytest.mark.parametrize("kind", ["shift", "nested", "pairs"])
+    def test_over_budget_falls_back_to_the_walk(self, monkeypatch, kind):
+        rng = random.Random(21)
+        rule = edit_rows(holding_rule(6, 21, True), rng, kind, 2)
+        reference = encoded(list(oracle.check_all(rule).values()))
+        monkeypatch.setattr(axioms, "_LOCAL_PAIRS", 0)
+        calls = count_walks(monkeypatch)
+        view = axioms._RuleView(rule)
+        assert view._local_split() is None
+        assert encoded(list(check_all(rule).values())) == reference
+        assert len(calls) == len(rule.family)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reports_match_the_oracle(self, seed):
+        rng = random.Random(seed)
+        rule = edit_rows(holding_rule(6, seed, seed % 2 == 0), rng, "nested", 2)
+        ours, reference = check_all(rule), oracle.check_all(rule)
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 6])
+    def test_one_edited_row_visits_only_its_pairs(self, monkeypatch, size):
+        # At n = 9 the full walk visits 3^9 − 2^10 + 1 = 18,660 pairs.
+        n = 9
+        rng = random.Random(size)
+        base = holding_rule(n, size, False)
+        # Not a pair that v is read from: those hold the universe's first label.
+        S = ChoiceSet(rng.sample(base.universe.alternatives[1:], size))
+        table = {A: dict(base.row(A)) for A in base.family}
+        x, y = S.members[:2]
+        table[S][x], table[S][y] = table[S][x] / 2, table[S][y] + table[S][x] / 2
+        rule = RandomChoiceRule(base.family, table, mode="exact")
+        visited: set = set()
+        real_walk = getattr(axioms, "_walk_pairs", None)
+        real_subsets = axioms._NestedPairs.subsets_of
+
+        def walk_pairs(index, support, pairs=None, rows=None):
+            if pairs is not None:
+                pairs = list(pairs)
+                visited.update(pairs)
+            return real_walk(index, support, pairs, rows)
+
+        def subsets_of(self, iA):
+            hits = real_subsets(self, iA)
+            visited.update((iB, iA) for iB in hits)
+            return hits
+
+        monkeypatch.setattr(axioms, "_walk_pairs", walk_pairs, raising=False)
+        monkeypatch.setattr(axioms._NestedPairs, "subsets_of", subsets_of)
+        ours = check_all(rule)
+        assert 0 < len(visited) <= (1 << size) + (1 << (n - size))
+        assert not ours[Axiom.CHOICE_AXIOM].holds
+        assert encoded(list(ours.values())) == without_certificate(monkeypatch, rule)
+
+
+def family_of(kind: str, rng: random.Random) -> ChoiceFamily:
+    """A family with nested pairs: complete, partial, or every pair plus the universe."""
+    if kind == "complete":
+        return ChoiceFamily.of_all_subsets(helpers.universe_of(5))
+    if kind == "partial":
+        family = partial_family(rng)
+        universe = family.universe
+        return ChoiceFamily(universe, set(family.sets) | {ChoiceSet(universe.alternatives)})
+    universe = helpers.universe_of(6)
+    return ChoiceFamily(universe, set(ChoiceFamily.of_pairs(universe).sets) | {ChoiceSet(universe.alternatives)})
+
+
+class TestFloatArrays:
+    """The numpy pair pass against the scalar full scan of ``oracle_axioms``."""
+
+    @pytest.mark.parametrize("axiom", [Axiom.CHOICE_AXIOM, Axiom.SET_CHOICE_AXIOM])
+    @pytest.mark.parametrize("kind", ["complete", "partial", "pairs"])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), eps=st.sampled_from([1e-9, 1e-3]))
+    def test_one_ulp_around_the_tolerance_on_every_family(self, axiom, kind, seed, eps):
+        rng = random.Random(seed)
+        family = family_of(kind, rng)
+        rule = luce_rule(helpers.random_rational_weights(family.universe, rng), family).as_float(eps)
+        A = max(family, key=len)
+        inner = [B for B in family if len(B) >= 2 and set(B) < set(A)]
+        assume(inner)
+        x = rng.choice(rng.choice(inner).members)
+        y = max((a for a in A if a != x), key=lambda a: rule.p(a, A))
+        reference = RULE_CHECKERS[axiom][1]
+        v0 = rule.p(x, A)
+        fails = lambda v: not reference(with_cell(rule, A, x, y, v)).holds
+        assume(fails(v0 + 0.9 * rule.p(y, A)))
+        lo, hi = flip_point(fails, v0, v0 + 0.9 * rule.p(y, A))
+        for v in (_float(_bits(lo) - 1), lo, hi, _float(_bits(hi) + 1)):
+            for moved in (with_cell(rule, A, x, y, v), with_cell(rule, A, x, y, v).as_float(1e-3)):
+                ours, theirs = check_all(moved), oracle.check_all(moved)
+                assert encoded(list(ours.values()), moved) == encoded(list(theirs.values()), moved)
+
+    @pytest.mark.parametrize("as_float", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_checkers_past_int64_masks(self, seed, as_float):
+        # On 100 alternatives a set's bitmask does not fit in int64; check_all
+        # refuses the universe, but the single checkers run.
+        rng = random.Random(seed)
+        universe = Universe([f"x{i:02d}" for i in range(100)])
+        sets = {ChoiceSet(rng.sample(universe.alternatives, 2)) for _ in range(30)}
+        for _ in range(3):
+            big = rng.sample(universe.alternatives, rng.randint(8, 11))
+            sets.add(ChoiceSet(big))
+            for _ in range(3):
+                sets.add(ChoiceSet(rng.sample(big, rng.randint(2, 6))))
+        rule = make_rule(rng, ChoiceFamily(universe, sets), False, True)
+        if as_float:
+            rule = rule.as_float()
+        for axiom, (checker, reference) in RULE_CHECKERS.items():
+            assert outcome(checker, rule) == outcome(reference, rule), axiom
+        corr = support_correspondence(rule)
+        assert outcome(check_warp, corr) == outcome(oracle.check_warp, corr)
+
+    def test_chunks_bound_peak_memory(self):
+        import tracemalloc
+
+        peaks = {}
+        for n in (10, 13):
+            rule = holding_rule(n, n, False).as_float()
+            view = axioms._RuleView(rule)
+            view.support_masks(rule.eps)
+            tracemalloc.start()
+            try:
+                view._split()
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 27 times the pairs (3^n), 8 times the sets: the peak follows the
+        # chunk and the sets, not the pairs.
+        assert peaks[13] < 4 * peaks[10]
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_set_choice_shortcut_matches_every_comparison(self, b, seed):
+        # Pairs whose errors sum well below eps skip their 2^b comparisons.
+        # Small masses put the tolerance near eps itself, and the error on one
+        # member runs to 3·eps, so pairs on both sides of eps/2 come up.
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        eps = 1e-3
+        XA = rng.random((4000, b)) * rng.choice([1e-4, 1.0 / b], size=(4000, 1))
+        XB = rng.random((4000, b)) * rng.choice([1e-4, 1.0 / b], size=(4000, 1))
+        XA[:, 0] += rng.random(4000) * 3 * eps
+        TA, TB = axioms._subset_sums(XA), axioms._subset_sums(XB)
+        every = (~within_tolerance(TA[1:], TB[1:] * TA[-1], eps)).sum(axis=0)
+        assert every.any() and not every.all()
+        assert axioms._float_set_choice(XA, XB, eps)[:, 0].tolist() == every.tolist()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), kind=st.sampled_from(["complete", "partial", "pairs"]))
+    def test_warp_and_shares_recut_at_an_eps_override(self, seed, kind):
+        # Cells between the rule's eps and the override leave the support at
+        # the override (the shares) but stay in it at the rule's eps (WARP).
+        rng = random.Random(seed)
+        family = family_of(kind, rng)
+        table = {}
+        for A in family:
+            weights = {a: rng.choice([rng.random(), 5e-4, 0.0]) for a in A}
+            weights[rng.choice(A.members)] = 1.0
+            total = sum(weights.values())
+            table[A] = {a: w / total for a, w in weights.items()}
+        rule = RandomChoiceRule(family, table, mode="float", eps=1e-9)
+        for eps in (None, 1e-3):
+            ours, reference = check_all(rule, eps=eps), oracle.check_all(rule, eps=eps)
+            assert encoded(list(ours.values())) == encoded(list(reference.values()))

@@ -1,5 +1,6 @@
 """The import boundary: the exact side of lucekit never loads numpy, nor
-does checking WARP or positivity alone on a float rule.
+does checking WARP or positivity alone on a float rule, and ``check`` runs
+neither ``lucekit.decompose`` nor ``lucekit.estimate``.
 
 Each check runs in a fresh interpreter (``PYTHONPATH=src``), since the test
 process itself has numpy loaded long before any of these tests run.
@@ -118,6 +119,40 @@ class TestNoNumpyOnTheExactSide:
         assert result["codes"] == [0]
         assert result["numpy"] is False
         assert result["outs"] == [_in_process(argv)[1]]
+
+
+class TestCheckRunsOnlyWhatItNeeds:
+    # Runs main() on sys.argv[1:] and prints whether lucekit.decompose and
+    # lucekit.estimate ran: a module whose code ran is a plain module.
+    _CODE = (
+        "import contextlib, io, json, sys, types\n"
+        "from lucekit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "ran = [type(sys.modules.get(m)) is types.ModuleType\n"
+        "       for m in ('lucekit.decompose', 'lucekit.estimate')]\n"
+        "print(json.dumps([code, ran]))"
+    )
+
+    @pytest.mark.parametrize("extra", [[], ["--mode", "float"]])
+    def test_check_runs_neither_decompose_nor_estimate(self, exact_inputs, extra):
+        p = exact_inputs
+        assert main(["synthesize", "--weights", p["w"], "--gamma", p["g"], "--out", p["rule"]]) == 0
+        assert json.loads(_python(self._CODE, "check", p["rule"], *extra)) == [1, [False, False]]
+        # The control: decompose and fit run their modules.
+        assert json.loads(_python(self._CODE, "decompose", p["rule"]))[1] == [True, False]
+        assert json.loads(_python(self._CODE, "fit", p["data"]))[1] == [False, True]
+
+    def test_the_lazy_names_are_the_modules_own(self):
+        code = (
+            "import lucekit, sys\n"
+            "import lucekit.decompose\n"
+            "from lucekit.estimate import fit\n"
+            "mod = sys.modules['lucekit.decompose']\n"
+            "print(lucekit.decompose is mod.decompose, lucekit.fit is fit,"
+            " lucekit.estimate is sys.modules['lucekit.estimate'])"
+        )
+        assert _python(code).split() == ["True", "True", "True"]
 
 
 class TestNumpyPathsStillWork:
