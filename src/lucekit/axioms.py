@@ -7,44 +7,35 @@ count, and the number of instances examined. Verdicts are relative to the
 family: on partial families a pass may be vacuous, which is why reports also
 carry a completeness flag.
 
-Exact rules are checked by integer cross-multiplication: a rule keeps each
-row as integer numerators over one common denominator from construction on,
-so every identity of products of probabilities becomes an identity of
-machine integers. Float rules are evaluated directly with the relative
-tolerance ``|lhs - rhs| <= eps * (1 + |lhs| + |rhs|)``. Witnesses always
-carry the probabilities themselves (not the cross-multiplied forms), so
-they can be replayed against the raw definitions via :func:`replay_witness`.
+Exact rules are checked by integer cross-multiplication of the rows a rule
+keeps as integer numerators over one common denominator; float rules with
+the relative tolerance ``|lhs - rhs| <= eps * (1 + |lhs| + |rhs|)``.
+Witnesses carry the probabilities themselves, not the cross-multiplied
+forms, so :func:`replay_witness` replays them against the raw definitions.
 
 All checkers but positivity and full support quantify over nested pairs
-B ⊂ A of the family (odds independence over those with |B| = 2), which
-:class:`_NestedPairs` lists by walking each A's submasks against a
-mask-to-index table, or by scanning the family when 2^|A| exceeds its size
-|F|. One split of those pairs per rule view serves every checker: it counts
-their instances and reads WARP off the support. In exact mode it lists the
-pairs with a nonzero residual r_j = N_A[j]·D_B − N_B[j]·M_AB for some j ∈ B
-(N a row's integer numerators, D_B B's denominator, M_AB = Σ_{j∈B} N_A[j]).
+B ⊂ A of the family (odds independence over those with |B| = 2), listed by
+:class:`_NestedPairs`. One split of those pairs per rule view serves every
+checker: it counts their instances and reads WARP off the support. In exact
+mode it lists the pairs with a nonzero residual r_j = N_A[j]·D_B − N_B[j]·M_AB
+for some j ∈ B (N a row's numerators, D_B B's denominator, M_AB = Σ_{j∈B} N_A[j]).
 Every pair-based identity is an integer combination of these residuals, so
-a pair whose residuals all vanish satisfies every instance (odds
-independence too: p(·, B) is then proportional to p(·, A) on B), and only
-the others are scanned instance by instance.
+only those pairs are scanned instance by instance.
 
 On a complete family the exact split walks few pairs, by the source paper's
 theorem: a rule satisfies the choice axiom exactly when it is
-``general_luce_rule(Γ, v)`` with Γ a weak order's maximizers.
-:meth:`_RuleView.luce_fit` reads Γ and v off the pairs and lists M, the sets
-whose support is not Γ(A) or whose cells are off that Luce rule. A pair
-with neither set in M has zero residuals, a holding WARP instance and the
-counts of Γ, in closed form from |A| and |Γ(A)|; only the 2^|S| + 2^(n−|S|)
-pairs touching each S ∈ M are walked. A holding rule walks none. The full
-walk runs when v is undefined, when M touches over ``_LOCAL_PAIRS`` pairs,
-and on partial families.
+``general_luce_rule(Γ, v)`` with Γ a weak order's maximizers. A pair with
+neither set among the misfits M of :meth:`_RuleView.luce_fit` has zero
+residuals and Γ's counts, in closed form from |A| and |Γ(A)|, so only the
+pairs touching each S ∈ M are walked: none for a holding rule. The full walk
+runs when v is undefined, when M touches over ``_LOCAL_PAIRS`` pairs, and on
+partial families.
 
-Float mode compares every instance, in one numpy pass that lists the pairs
-one size class at a time and feeds chunks of pairs of one size |B| to the
-kernels ``_float_*``, the instance counts and WARP. The operations are the
-scalar scan's in the same order, so each boolean equals the scalar one; the
-scalar loops then rerun on the failing pairs only, in scan order, until the
-witness cap. WARP alone scans the support masks in Python, without numpy.
+Float mode compares every instance of the requested axioms in one numpy pass
+over chunks of pairs of one size |B|, with the scalar scan's operations in
+the same order, so each boolean equals the scalar one; the scalar loops then
+rerun on the failing pairs only, in scan order, until the witness cap. WARP
+alone scans the support masks in Python, without numpy.
 """
 
 from __future__ import annotations
@@ -56,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations, compress, islice, repeat
 from operator import lt
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Union
 
 from .core import (
     EXACT,
@@ -289,8 +280,9 @@ def _float_renyi(XA, XB, eps):
 
 def _float_product(XA, XB, eps):
     """Product rule: p(k, B)·p(j, A) against p(j, B)·p(k, A) for j < k in B."""
-    pairs = list(combinations(range(XA.shape[1]), 2))
-    J, K = [j for j, _ in pairs], [k for _, k in pairs]
+    import numpy as np
+
+    J, K = np.triu_indices(XA.shape[1], 1)
     return ~within_tolerance(XB[:, K] * XA[:, J], XB[:, J] * XA[:, K], eps)
 
 
@@ -366,8 +358,11 @@ class _RuleView:
     equalities, and float rows keep probabilities with denominator 1.0.
     """
 
-    def __init__(self, rule: RandomChoiceRule, eps: float | None = None) -> None:
+    def __init__(
+        self, rule: RandomChoiceRule, eps: float | None = None, axioms=tuple(Axiom)
+    ) -> None:
         self.rule = rule
+        self.axioms: Collection[Axiom] = axioms  # float mode runs these kernels only
         self.exact = rule.mode == EXACT
         self.eps = rule.eps if eps is None else check_eps(eps)
         self.n = len(rule.universe)
@@ -552,8 +547,14 @@ class _RuleView:
         import numpy as np
 
         eps, floor = self.eps, self.rule.eps
+        wanted = set(self.axioms)
+        if Axiom.SET_INTERSECTION_RULE in wanted:  # it reads set choice's failures
+            wanted.add(Axiom.SET_CHOICE_AXIOM)
+        if max(map(int.bit_count, self.masks)) > MAX_ENUM_UNIVERSE:  # both refuse such sets
+            wanted.discard(Axiom.SET_CHOICE_AXIOM)
+        kernels = {axiom: f for axiom, f in _FLOAT_KERNELS.items() if axiom in wanted}
         rows = np.array(self.nums, dtype=float)
-        found: dict[Axiom, list] = {axiom: [] for axiom in (*_FLOAT_KERNELS, Axiom.WARP)}
+        found: dict[Axiom, list] = {axiom: [] for axiom in (*kernels, Axiom.WARP)}
         per_size = [0] * (self.n + 1)
         supported = odds = warp_checked = 0
         for iA, iB, cols in self._pair_chunks(np):
@@ -569,7 +570,7 @@ class _RuleView:
             hit = cut.any(axis=1)
             warp_checked += int(np.count_nonzero(hit))
             counts = {Axiom.WARP: hit & (cut != (XB > floor)).any(axis=1)}
-            for axiom, kernel in _FLOAT_KERNELS.items():
+            for axiom, kernel in kernels.items():
                 if axiom != Axiom.ODDS_INDEPENDENCE or b == 2:  # odds: |B| = 2 only
                     counts[axiom] = kernel(XA, XB, eps).sum(axis=1)
             for axiom, count in counts.items():
@@ -581,10 +582,9 @@ class _RuleView:
             inner, outer, count = (np.concatenate(x) for x in zip(*parts))
             order = np.lexsort((inner, outer))
             self._failures[axiom] = (inner[order], outer[order], count[order])
-        if self.n <= MAX_ENUM_UNIVERSE:  # set intersection refuses larger universes
+        if Axiom.SET_CHOICE_AXIOM in kernels and self.n <= MAX_ENUM_UNIVERSE:
             inner, outer, count = self._failures[Axiom.SET_CHOICE_AXIOM]
-            sizes = np.array(list(map(int.bit_count, self.masks)))
-            count = count << (self.n - sizes[inner])
+            count = count << (self.n - np.array(list(map(int.bit_count, self.masks)))[inner])
             self._failures[Axiom.SET_INTERSECTION_RULE] = (inner, outer, count)
         inner, outer, _ = self._failures.pop(Axiom.WARP)
         shares = _PairShares.from_sizes(per_size, supported, odds)
@@ -715,7 +715,7 @@ def check_choice_axiom(
     Witness layout: sets = (B, A), elements = (a,), lhs = p(a, A),
     rhs = p(a, B) * p(B, A).
     """
-    view = _view or _RuleView(rule, eps)
+    view = _view or _RuleView(rule, eps, [Axiom.CHOICE_AXIOM])
     out = _Collector()
     for iB, iA in view.scan_pairs(Axiom.CHOICE_AXIOM, out):
         mass_AB = view.mass(iA, view.masks[iB])
@@ -745,7 +745,7 @@ def check_odds_independence(
     Witness layout: sets = ({a,b}, A), elements = (a, b), lhs and rhs the two
     :class:`ExtendedRatio` values.
     """
-    view = _view or _RuleView(rule, eps)
+    view = _view or _RuleView(rule, eps, [Axiom.ODDS_INDEPENDENCE])
     out = _Collector()
     for iP, iA in view.scan_pairs(Axiom.ODDS_INDEPENDENCE, out):
         mP = view.masks[iP]
@@ -781,7 +781,7 @@ def check_product_rule(
     Witness layout: sets = (B, A), elements = (a, b), lhs = p(b,B) * p(a,A),
     rhs = p(a,B) * p(b,A).
     """
-    view = _view or _RuleView(rule, eps)
+    view = _view or _RuleView(rule, eps, [Axiom.PRODUCT_RULE])
     out = _Collector()
     for iB, iA in view.scan_pairs(Axiom.PRODUCT_RULE, out):
         bits = list(_iter_bits(view.masks[iB]))
@@ -831,7 +831,7 @@ def check_set_choice_axiom(
         raise FamilySizeError(
             f"subset enumeration over a {largest}-element set (limit {MAX_ENUM_UNIVERSE})"
         )
-    view = _view or _RuleView(rule, eps)
+    view = _view or _RuleView(rule, eps, [Axiom.SET_CHOICE_AXIOM])
     out = _Collector()
     for iB, iA in view.scan_pairs(Axiom.SET_CHOICE_AXIOM, out):
         for mC in view.pairs.canonical(_failing_subsets(view, iB, iA)):
@@ -863,7 +863,7 @@ def check_set_intersection_rule(
         raise FamilySizeError(
             f"Y ranges over all subsets of a {n}-element universe (limit {MAX_ENUM_UNIVERSE})"
         )
-    view = _view or _RuleView(rule, eps)
+    view = _view or _RuleView(rule, eps, [Axiom.SET_INTERSECTION_RULE])
     out = _Collector()
     for iB, iA in view.scan_pairs(Axiom.SET_INTERSECTION_RULE, out):
         mB = view.masks[iB]
@@ -890,7 +890,8 @@ def _check_zero_cells(
 ) -> AxiomReport:
     """The scan behind positivity and full support: is p(a, A) > 0 for A in ``sets``?
 
-    The zero cells are the members missing from the view's support masks.
+    The zero cells are the members missing from the view's support masks;
+    past the witness cap they are only counted.
     """
     rule = view.rule
     support = view.support_masks(0 if view.exact else view.eps)
@@ -898,7 +899,11 @@ def _check_zero_cells(
     checked = 0
     for i in sets:
         checked += view.masks[i].bit_count()
-        for j in _iter_bits(view.masks[i] & ~support[i]):
+        zeros = view.masks[i] & ~support[i]
+        if len(out.witnesses) >= WITNESS_CAP:
+            out.count += zeros.bit_count()
+            continue
+        for j in _iter_bits(zeros):
             A, a = view.sets[i], view.labels[j]
             out.add(lambda A=A, a=a: Witness(
                 axiom=axiom,
@@ -997,7 +1002,7 @@ def check_renyi_conditioning(
     Witness layout: sets = (B, A), elements = (a,), lhs = p(a, B),
     rhs = p(a, A) / p(B, A).
     """
-    view = _view or _RuleView(rule, eps)
+    view = _view or _RuleView(rule, eps, [Axiom.RENYI_CONDITIONING])
     out = _Collector()
     for iB, iA in view.scan_pairs(Axiom.RENYI_CONDITIONING, out):
         mass_AB = view.mass(iA, view.masks[iB])
@@ -1047,10 +1052,10 @@ _CHECKERS: dict[Axiom, Callable[..., AxiomReport]] = {
 
 
 def _run_checkers(
-    rule: RandomChoiceRule, axioms: Iterable[Axiom], eps: float | None = None
+    rule: RandomChoiceRule, axioms: Collection[Axiom], eps: float | None = None
 ) -> list[AxiomReport]:
     """Run the named checkers in the given order over one shared rule view."""
-    view = _RuleView(rule, eps)
+    view = _RuleView(rule, eps, axioms)
     return [_CHECKERS[axiom](rule, eps=eps, _view=view) for axiom in axioms]
 
 

@@ -449,10 +449,8 @@ def _decode_report(payload: dict) -> dict:
 def _is_a(obj: Any, names: tuple[str, ...]) -> bool:
     """Whether ``obj`` is an instance of one of the types ``names``, each
     ``module.Type`` in lucekit; told by name, so that inference imports nothing."""
-    return any(
-        f"{c.__module__.removeprefix('lucekit.')}.{c.__qualname__}" in names
-        for c in type(obj).__mro__
-    )
+    full = {f"{__package__}.{name}" for name in names}
+    return any(f"{c.__module__}.{c.__qualname__}" in full for c in type(obj).__mro__)
 
 
 # kind -> (the types that infer the kind, payload encoder, payload decoder). A

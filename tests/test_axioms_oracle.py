@@ -747,6 +747,45 @@ class TestFloatArrays:
         corr = support_correspondence(rule)
         assert outcome(check_warp, corr) == outcome(oracle.check_warp, corr)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sets_past_the_limit_build_no_subset_masses(self, monkeypatch, seed):
+        # Set choice and set intersection refuse sets of more than
+        # MAX_ENUM_UNIVERSE members, so no checker may build the 2^|B| subset
+        # masses of such a set, here B of 21 members off the Luce form in A.
+        rng = random.Random(seed)
+        universe = helpers.universe_of(24)
+        big = rng.sample(universe.alternatives, 23)
+        sets = {ChoiceSet(universe.alternatives), ChoiceSet(big), ChoiceSet(big[:21])}
+        sets |= {ChoiceSet(rng.sample(big, rng.randint(2, 5))) for _ in range(10)}
+        rule = make_rule(rng, ChoiceFamily(universe, sets), False, False).as_float()
+        A, (x, y) = ChoiceSet(big), big[:2]
+        rule = with_cell(rule, A, x, y, rule.p(x, A) / 2)
+
+        def refuse(X):
+            raise AssertionError(f"subset masses of {X.shape[1]} members")
+
+        monkeypatch.setattr(axioms, "_subset_sums", refuse)
+        for axiom, (checker, reference) in RULE_CHECKERS.items():
+            assert outcome(checker, rule) == outcome(reference, rule), axiom
+        assert not check_choice_axiom(rule).holds
+        with pytest.raises(FamilySizeError):
+            check_all(rule)
+
+    def test_single_checkers_run_only_their_kernel(self, monkeypatch):
+        rng = random.Random(5)
+        family = ChoiceFamily.of_all_subsets(helpers.universe_of(6))
+        rule = make_rule(rng, family, False, True).as_float()
+        ran = []
+        for axiom, kernel in list(axioms._FLOAT_KERNELS.items()):
+            spy = lambda *args, axiom=axiom, kernel=kernel: ran.append(axiom) or kernel(*args)
+            monkeypatch.setitem(axioms._FLOAT_KERNELS, axiom, spy)
+        for axiom, (checker, reference) in RULE_CHECKERS.items():
+            ran.clear()
+            assert outcome(checker, rule) == outcome(reference, rule), axiom
+            # Set intersection reads set choice's failures.
+            own = Axiom.SET_CHOICE_AXIOM if axiom == Axiom.SET_INTERSECTION_RULE else axiom
+            assert set(ran) == ({own} if own in axioms._FLOAT_KERNELS else set()), axiom
+
     def test_chunks_bound_peak_memory(self):
         import tracemalloc
 

@@ -290,6 +290,17 @@ class TestRejection:
         with pytest.raises(DocumentError):
             from_document({"kind": "rule", "version": "1", "payload": []})
 
+    @pytest.mark.parametrize("module, name", [
+        ("estimate", "FitResult"), ("estimate", "ChoiceDataset"), ("core", "RandomChoiceRule"),
+        ("decompose", "LuceDecomposition"), ("synthesize", "LimitReport"),
+    ])
+    def test_same_named_classes_outside_lucekit_infer_no_kind(self, module, name):
+        # Kinds are told by qualified name; a user's top-level module of the
+        # same name is not lucekit's.
+        impostor = type(name, (), {"__module__": module})
+        with pytest.raises(DocumentError, match=f"cannot infer document kind for {name}"):
+            to_document(impostor())
+
     def test_bad_fraction_string(self):
         doc = self._rule_doc()
         doc["payload"]["table"][0]["p"] = {
