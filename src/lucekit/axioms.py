@@ -24,18 +24,19 @@ only those pairs are scanned instance by instance.
 
 On a complete family the exact split walks few pairs, by the source paper's
 theorem: a rule satisfies the choice axiom exactly when it is
-``general_luce_rule(Γ, v)`` with Γ a weak order's maximizers. A pair with
-neither set among the misfits M of :meth:`_RuleView.luce_fit` has zero
-residuals and Γ's counts, in closed form from |A| and |Γ(A)|, so only the
-pairs touching each S ∈ M are walked: none for a holding rule. The full walk
-runs when v is undefined, when M touches over ``_LOCAL_PAIRS`` pairs, and on
-partial families.
+``general_luce_rule(Γ, v)`` with Γ a weak order's maximizers. Every
+instance count follows in closed form from |A| and |supp p_A|, whatever the
+support, and a pair with neither set among the misfits M of
+:meth:`_RuleView.luce_fit` has zero residuals and holds WARP, so only the
+pairs touching each S ∈ M are walked, once: none for a holding rule. The
+full walk runs when v is undefined, when M touches over ``_LOCAL_PAIRS``
+pairs, and on partial families.
 
 Float mode compares every instance of the requested axioms in one numpy pass
 over chunks of pairs of one size |B|, with the scalar scan's operations in
 the same order, so each boolean equals the scalar one; the scalar loops then
 rerun on the failing pairs only, in scan order, until the witness cap. WARP
-alone scans the support masks in Python, without numpy.
+alone walks the support masks in Python, without numpy.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, compress, islice, repeat
-from operator import lt
+from itertools import combinations, compress, groupby, islice, repeat
+from operator import itemgetter, lt
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Union
 
 from .core import (
@@ -258,6 +259,26 @@ def _touching(k: int, n: int) -> int:
     return (1 << k) + (1 << (n - k)) - 3
 
 
+def _complete_counts(masks: list[int], support: list[int]) -> tuple[_PairShares, int]:
+    """The shares and WARP instances of a complete family with nonempty supports.
+
+    They depend only on the histogram of (|A|, |supp p_A|) = (k, g): C(k, b)
+    subsets of size b, 2^(k−1) − 1 holding each j ∈ supp p_A, C(k, 2) − C(k − g, 2)
+    2-subsets meeting the support (k ≥ 3), and 2^k − 2^(k−g) − 1 meeting it.
+    """
+    per_size = [0] * (max(map(int.bit_count, masks)) + 1)
+    supported = odds = warp_checked = 0
+    histogram = Counter(zip(map(int.bit_count, masks), map(int.bit_count, support)))
+    for (k, g), count in histogram.items():
+        for b in range(1, k):
+            per_size[b] += count * math.comb(k, b)
+        supported += count * g * ((1 << (k - 1)) - 1)
+        if k >= 3:
+            odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
+        warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
+    return _PairShares.from_sizes(per_size, supported, odds), warp_checked
+
+
 def _fold_ascending(cols):
     """Σ of the columns, added left to right from 0 as builtin ``sum`` does (3.11)."""
     total = 0
@@ -356,6 +377,8 @@ class _RuleView:
     (D_A, N_A), built with the rule and only read here: exact rows are integer
     numerators over one common denominator, so identities reduce to integer
     equalities, and float rows keep probabilities with denominator 1.0.
+    Witnesses read their values off the same rows, through :meth:`p` and
+    :meth:`p_set`.
     """
 
     def __init__(
@@ -391,6 +414,16 @@ class _RuleView:
         """Numerator mass the row ``i`` assigns to the alternatives in ``mask``."""
         num = self.nums[i]
         return _fold_ascending(num[j] for j in _iter_bits(mask))
+
+    def p(self, i: int, j: int) -> Value:
+        """``rule.p``: the cell N_i[j] / D_i as stored, so a float −0.0 stays −0.0."""
+        return Fraction(self.nums[i][j], self.dens[i]) if self.exact else self.nums[i][j]
+
+    def p_set(self, i: int, mask: int) -> Value:
+        """``rule.p_set``: the mass of ``mask`` in row ``i``, summed from zero in label
+        order, so a one-member set holding a float −0.0 reads +0.0."""
+        mass = self.mass(i, mask)
+        return Fraction(mass, self.dens[i]) if self.exact else mass / self.dens[i]
 
     def subset_sums(self, i: int) -> dict[int, Value]:
         """Numerator masses of every submask of set ``i``, built once per set."""
@@ -495,30 +528,18 @@ class _RuleView:
     def _local_split(self) -> "_Split | None":
         """The exact split on a complete family from the Luce fit; None for the full walk.
 
-        Γ's counts come in closed form from the histogram of (|A|, |Γ(A)|) =
-        (k, g): C(k, b) subsets of size b, 2^(k−1) − 1 holding each j ∈ Γ(A),
-        C(k, 2) − C(k − g, 2) 2-subsets meeting Γ(A) (k ≥ 3), 2^k − 2^(k−g) − 1
-        holding WARP instances. The pairs (B, S) and (S, A) of each misfit S
-        are walked in scan order twice, against Γ and against the rule, and
-        swap Γ's terms for the rule's.
+        The counts come in closed form from the supports (:func:`_complete_counts`).
+        A pair with neither set among the misfits is a pair of the Luce rule:
+        its residuals are zero and its supports, Γ's, hold WARP. So the pairs
+        (B, S) and (S, A) of each misfit S are walked once, in scan order,
+        against the rule, for its nonzero residuals and WARP failures.
         """
         if not (self.exact and self.pairs.family.all_subsets):
             return None
-        _, gammas, v, misfits = self.luce_fit()
+        _, _, v, misfits = self.luce_fit()
         n, masks, index = self.n, self.masks, self.pairs.index
         if v is None or sum(_touching(masks[i].bit_count(), n) for i, _ in misfits) > _LOCAL_PAIRS:
             return None
-        histogram = Counter(zip(map(int.bit_count, masks), map(int.bit_count, gammas)))
-        per_size = [0] * (n + 1)
-        supported = odds = warp_checked = 0
-        for (k, g), count in histogram.items():
-            for b in range(1, k):
-                per_size[b] += count * math.comb(k, b)
-            supported += count * g * ((1 << (k - 1)) - 1)
-            if k >= 3:
-                odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
-            warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
-        shares = _PairShares.from_sizes(per_size, supported, odds)
         touched: set[tuple[int, int]] = set()
         for s, _ in misfits:
             touched.update((iB, s) for iB in self.pairs.subsets_of(s))
@@ -527,13 +548,10 @@ class _RuleView:
             while sup:
                 touched.add((s, index[mS | sup]))
                 sup = (sup - 1) & rest
-        if not touched:
-            return _Split([], shares, gammas, warp_checked, [])
         pairs = sorted(touched, key=lambda pair: (pair[1], pair[0]))
-        walked = _walk_pairs(self.pairs, self.support_masks(0), pairs, (self.dens, self.nums))
-        held = _walk_pairs(self.pairs, gammas, pairs)
-        shares = _PairShares(*(c + w - h for c, w, h in zip(shares, walked.shares, held.shares)))
-        warp_checked += walked.warp_checked - held.warp_checked
+        support = self.support_masks(0)
+        walked = _walk_pairs(self.pairs, support, pairs, (self.dens, self.nums))
+        shares, warp_checked = _complete_counts(masks, support)
         return walked._replace(shares=shares, warp_checked=warp_checked)
 
     def _walk(self) -> "_Split":
@@ -639,7 +657,7 @@ class _Split(NamedTuple):
     """What the split of the nested pairs finds."""
 
     failing: list[tuple[int, int]]  # exact mode: pairs with a nonzero residual, in scan order
-    shares: _PairShares
+    shares: _PairShares | None  # instance counts; None from a walk without rows
     support: list[int]  # supp p_A per set at the rule's eps, as a bitmask
     warp_checked: int  # pairs whose cut supp p_A ∩ B is nonempty
     warp_failing: list[tuple[int, int]]  # of those, where supp p_B differs from the cut
@@ -651,54 +669,65 @@ def _walk_pairs(
     pairs: Iterable[tuple[int, int]] | None = None,
     rows: tuple[list[Value], list[list[Value]]] | None = None,
 ) -> _Split:
-    """Walk ``pairs`` (B, A) in scan order, by default all: shares and WARP off
-    ``support`` and, given exact rows (D_A, N_A), the pairs with a nonzero residual."""
+    """Walk ``pairs`` (B, A) in scan order, by default all, for WARP off ``support``;
+    given exact rows (D_A, N_A), also for the pairs with a nonzero residual and for
+    the shares, which only the full exact walk reads (None without rows).
+
+    The one Python scan of nested pairs: the full exact walk, the local split,
+    :func:`check_warp` and float WARP alone all run it.
+    """
     masks = index.masks
     if pairs is None:
-        pairs = ((iB, iA) for iA in range(len(masks)) for iB in index.subsets_of(iA))
+        groups = ((iA, index.subsets_of(iA)) for iA in range(len(masks)))
+    else:
+        groups = ((iA, [iB for iB, _ in run]) for iA, run in groupby(pairs, itemgetter(1)))
     dens, nums = rows or ([], [])
     bits = [list(_iter_bits(m)) for m in masks] if rows else []
     failing: list[tuple[int, int]] = []
     warp_failing: list[tuple[int, int]] = []
     per_size = [0] * (len(index.labels) + 1)
     supported = odds = warp_checked = 0
-    for iB, iA in pairs:
-        mB = masks[iB]
-        if rows:
-            num_A, num_B, den_B = nums[iA], nums[iB], dens[iB]
-            mass_AB = sum(map(num_A.__getitem__, bits[iB]))
-            for j in bits[iB]:
-                if num_A[j] * den_B != num_B[j] * mass_AB:
-                    failing.append((iB, iA))
-                    break
-        size = mB.bit_count()
-        per_size[size] += 1
-        cut = support[iA] & mB
-        if cut:
-            supported += cut.bit_count()
-            odds += size == 2
-            warp_checked += 1
-            if support[iB] != cut:
-                warp_failing.append((iB, iA))
-    shares = _PairShares.from_sizes(per_size, supported, odds)
+    for iA, inner in groups:
+        support_A = support[iA]
+        for iB in inner:
+            cut = support_A & masks[iB]
+            if rows:
+                num_A, num_B, den_B = nums[iA], nums[iB], dens[iB]
+                mass_AB = sum(map(num_A.__getitem__, bits[iB]))
+                for j in bits[iB]:
+                    if num_A[j] * den_B != num_B[j] * mass_AB:
+                        failing.append((iB, iA))
+                        break
+                size = len(bits[iB])
+                per_size[size] += 1
+                supported += cut.bit_count()
+                odds += size == 2 and cut != 0
+            if cut:
+                warp_checked += 1
+                if support[iB] != cut:
+                    warp_failing.append((iB, iA))
+    shares = _PairShares.from_sizes(per_size, supported, odds) if rows else None
     return _Split(failing, shares, support, warp_checked, warp_failing)
 
 
 class _Collector:
-    """Accumulates violations under the witness cap."""
+    """Accumulates one axiom's violations under the witness cap."""
 
-    def __init__(self) -> None:
+    def __init__(self, axiom: Axiom) -> None:
+        self.axiom = axiom
         self.count = 0
         self.witnesses: list[Witness] = []
 
-    def add(self, make: Callable[[], Witness], weight: int = 1) -> None:
+    def add(self, make: Callable[[], tuple], weight: int = 1) -> None:
+        """Count a violation; under the cap, ``make()`` gives its witness's fields
+        after the axiom: (sets, elements, lhs, rhs[, detail])."""
         self.count += weight
         if len(self.witnesses) < WITNESS_CAP:
-            self.witnesses.append(make())
+            self.witnesses.append(Witness(self.axiom, *make()))
 
-    def report(self, axiom: Axiom, checked: int, complete: bool) -> AxiomReport:
+    def report(self, checked: int, complete: bool) -> AxiomReport:
         return AxiomReport(
-            axiom=axiom,
+            axiom=self.axiom,
             holds=self.count == 0,
             witnesses=tuple(self.witnesses),
             violation_count=self.count,
@@ -716,22 +745,18 @@ def check_choice_axiom(
     rhs = p(a, B) * p(B, A).
     """
     view = _view or _RuleView(rule, eps, [Axiom.CHOICE_AXIOM])
-    out = _Collector()
+    out = _Collector(Axiom.CHOICE_AXIOM)
     for iB, iA in view.scan_pairs(Axiom.CHOICE_AXIOM, out):
         mass_AB = view.mass(iA, view.masks[iB])
         den_B = view.dens[iB]
         for j in _iter_bits(view.masks[iB]):
             if view.eq(view.nums[iA][j] * den_B, view.nums[iB][j] * mass_AB):
                 continue
-            B, A, a = view.sets[iB], view.sets[iA], view.labels[j]
-            out.add(lambda B=B, A=A, a=a: Witness(
-                axiom=Axiom.CHOICE_AXIOM,
-                sets=(B, A),
-                elements=(a,),
-                lhs=rule.p(a, A),
-                rhs=rule.p(a, B) * rule.p_set(B, A),
+            out.add(lambda iB=iB, iA=iA, j=j: (
+                (view.sets[iB], view.sets[iA]), (view.labels[j],),
+                view.p(iA, j), view.p(iB, j) * view.p_set(iA, view.masks[iB]),
             ))
-    return out.report(Axiom.CHOICE_AXIOM, view.shares().members, rule.family.all_subsets)
+    return out.report(view.shares().members, rule.family.all_subsets)
 
 
 def check_odds_independence(
@@ -746,7 +771,7 @@ def check_odds_independence(
     :class:`ExtendedRatio` values.
     """
     view = _view or _RuleView(rule, eps, [Axiom.ODDS_INDEPENDENCE])
-    out = _Collector()
+    out = _Collector(Axiom.ODDS_INDEPENDENCE)
     for iP, iA in view.scan_pairs(Axiom.ODDS_INDEPENDENCE, out):
         mP = view.masks[iP]
         if mP.bit_count() != 2:
@@ -760,17 +785,13 @@ def check_odds_independence(
             continue
         if not (finite_A or finite_P) and pos(num_P[j]):
             continue  # both infinite
-        P, A = view.sets[iP], view.sets[iA]
-        a, b = view.labels[j], view.labels[k]
         tol = 0.0 if view.exact else view.eps
-        out.add(lambda P=P, A=A, a=a, b=b, tol=tol: Witness(
-            axiom=Axiom.ODDS_INDEPENDENCE,
-            sets=(P, A),
-            elements=(a, b),
-            lhs=ExtendedRatio.from_parts(rule.p(a, P), rule.p(b, P), eps=tol),
-            rhs=ExtendedRatio.from_parts(rule.p(a, A), rule.p(b, A), eps=tol),
+        out.add(lambda iP=iP, iA=iA, j=j, k=k, tol=tol: (
+            (view.sets[iP], view.sets[iA]), (view.labels[j], view.labels[k]),
+            ExtendedRatio.from_parts(view.p(iP, j), view.p(iP, k), eps=tol),
+            ExtendedRatio.from_parts(view.p(iA, j), view.p(iA, k), eps=tol),
         ))
-    return out.report(Axiom.ODDS_INDEPENDENCE, view.shares().odds, rule.family.all_subsets)
+    return out.report(view.shares().odds, rule.family.all_subsets)
 
 
 def check_product_rule(
@@ -782,7 +803,7 @@ def check_product_rule(
     rhs = p(a,B) * p(b,A).
     """
     view = _view or _RuleView(rule, eps, [Axiom.PRODUCT_RULE])
-    out = _Collector()
+    out = _Collector(Axiom.PRODUCT_RULE)
     for iB, iA in view.scan_pairs(Axiom.PRODUCT_RULE, out):
         bits = list(_iter_bits(view.masks[iB]))
         num_A, num_B = view.nums[iA], view.nums[iB]
@@ -790,16 +811,11 @@ def check_product_rule(
             for k in bits[x + 1:]:
                 if view.eq(num_B[k] * num_A[j], num_B[j] * num_A[k]):
                     continue
-                B, A = view.sets[iB], view.sets[iA]
-                a, b = view.labels[j], view.labels[k]
-                out.add(lambda B=B, A=A, a=a, b=b: Witness(
-                    axiom=Axiom.PRODUCT_RULE,
-                    sets=(B, A),
-                    elements=(a, b),
-                    lhs=rule.p(b, B) * rule.p(a, A),
-                    rhs=rule.p(a, B) * rule.p(b, A),
+                out.add(lambda iB=iB, iA=iA, j=j, k=k: (
+                    (view.sets[iB], view.sets[iA]), (view.labels[j], view.labels[k]),
+                    view.p(iB, k) * view.p(iA, j), view.p(iB, j) * view.p(iA, k),
                 ))
-    return out.report(Axiom.PRODUCT_RULE, view.shares().member_pairs, rule.family.all_subsets)
+    return out.report(view.shares().member_pairs, rule.family.all_subsets)
 
 
 def _failing_subsets(view: _RuleView, iB: int, iA: int) -> list[int]:
@@ -832,18 +848,14 @@ def check_set_choice_axiom(
             f"subset enumeration over a {largest}-element set (limit {MAX_ENUM_UNIVERSE})"
         )
     view = _view or _RuleView(rule, eps, [Axiom.SET_CHOICE_AXIOM])
-    out = _Collector()
+    out = _Collector(Axiom.SET_CHOICE_AXIOM)
     for iB, iA in view.scan_pairs(Axiom.SET_CHOICE_AXIOM, out):
         for mC in view.pairs.canonical(_failing_subsets(view, iB, iA)):
-            C, B, A = view.pairs.members(mC), view.sets[iB], view.sets[iA]
-            out.add(lambda C=C, B=B, A=A: Witness(
-                axiom=Axiom.SET_CHOICE_AXIOM,
-                sets=(C, B, A),
-                elements=(),
-                lhs=rule.p_set(C, A),
-                rhs=rule.p_set(C, B) * rule.p_set(B, A),
+            out.add(lambda mC=mC, iB=iB, iA=iA: (
+                (view.pairs.members(mC), view.sets[iB], view.sets[iA]), (),
+                view.p_set(iA, mC), view.p_set(iB, mC) * view.p_set(iA, view.masks[iB]),
             ))
-    return out.report(Axiom.SET_CHOICE_AXIOM, view.shares().subsets, rule.family.all_subsets)
+    return out.report(view.shares().subsets, rule.family.all_subsets)
 
 
 def check_set_intersection_rule(
@@ -864,7 +876,7 @@ def check_set_intersection_rule(
             f"Y ranges over all subsets of a {n}-element universe (limit {MAX_ENUM_UNIVERSE})"
         )
     view = _view or _RuleView(rule, eps, [Axiom.SET_INTERSECTION_RULE])
-    out = _Collector()
+    out = _Collector(Axiom.SET_INTERSECTION_RULE)
     for iB, iA in view.scan_pairs(Axiom.SET_INTERSECTION_RULE, out):
         mB = view.masks[iB]
         failing = set(_failing_subsets(view, iB, iA))
@@ -872,17 +884,12 @@ def check_set_intersection_rule(
         out.count += total
         named = (mY for mY in view.pairs.every_mask(n) if mY & mB in failing)
         for mY in islice(named, min(total, WITNESS_CAP - len(out.witnesses))):
-            Y, B, A = view.pairs.members(mY), view.sets[iB], view.sets[iA]
-            inter = [y for y in Y if y in B]
-            out.add(lambda Y=Y, B=B, A=A, inter=inter: Witness(
-                axiom=Axiom.SET_INTERSECTION_RULE,
-                sets=(Y, B, A),
-                elements=(),
-                lhs=rule.p_set(inter, A),
-                rhs=rule.p_set(Y, B) * rule.p_set(B, A),
+            out.add(lambda mY=mY, mC=mY & mB, iB=iB, iA=iA: (
+                (view.pairs.members(mY), view.sets[iB], view.sets[iA]), (),
+                view.p_set(iA, mC), view.p_set(iB, mC) * view.p_set(iA, view.masks[iB]),
             ), weight=0)
     checked = view.shares().pairs << n
-    return out.report(Axiom.SET_INTERSECTION_RULE, checked, rule.family.all_subsets)
+    return out.report(checked, rule.family.all_subsets)
 
 
 def _check_zero_cells(
@@ -893,9 +900,8 @@ def _check_zero_cells(
     The zero cells are the members missing from the view's support masks;
     past the witness cap they are only counted.
     """
-    rule = view.rule
     support = view.support_masks(0 if view.exact else view.eps)
-    out = _Collector()
+    out = _Collector(axiom)
     checked = 0
     for i in sets:
         checked += view.masks[i].bit_count()
@@ -904,16 +910,8 @@ def _check_zero_cells(
             out.count += zeros.bit_count()
             continue
         for j in _iter_bits(zeros):
-            A, a = view.sets[i], view.labels[j]
-            out.add(lambda A=A, a=a: Witness(
-                axiom=axiom,
-                sets=(A,),
-                elements=(a,),
-                lhs=rule.p(a, A),
-                rhs=None,
-                detail=detail,
-            ))
-    return out.report(axiom, checked, complete)
+            out.add(lambda i=i, j=j: ((view.sets[i],), (view.labels[j],), view.p(i, j), None, detail))
+    return out.report(checked, complete)
 
 
 def check_positivity(
@@ -955,41 +953,20 @@ def check_warp(corr: ChoiceCorrespondence) -> AxiomReport:
     string spells out Γ(B) against Γ(A) ∩ B.
     """
     pairs = _NestedPairs(corr.family)
-    return _warp_scan(pairs, [pairs.mask(corr.table[A].members) for A in pairs.sets])
+    gammas = [pairs.mask(corr.table[A].members) for A in pairs.sets]
+    return _warp_report(pairs, _walk_pairs(pairs, gammas))
 
 
-def _warp_scan(pairs: _NestedPairs, gammas: list[int]) -> AxiomReport:
-    """WARP of the bitmasks ``gammas``, one per set, over every nested pair."""
-    masks = pairs.masks
-    failing: list[tuple[int, int]] = []
-    checked = 0
-    for iA, gamma_A in enumerate(gammas):
-        for iB in pairs.subsets_of(iA):
-            cut = gamma_A & masks[iB]
-            if cut:
-                checked += 1
-                if gammas[iB] != cut:
-                    failing.append((iB, iA))
-    return _warp_report(pairs, gammas, failing, checked)
-
-
-def _warp_report(
-    pairs: _NestedPairs, gammas: list[int], failing: list[tuple[int, int]], checked: int
-) -> AxiomReport:
-    """The WARP report from its failing pairs, in scan order, and its instance count."""
-    masks, sets, members = pairs.masks, pairs.sets, pairs.members
-    out = _Collector()
-    for iB, iA in failing:
+def _warp_report(pairs: _NestedPairs, split: _Split) -> AxiomReport:
+    """The WARP report of a split: its failing pairs, in scan order, and its instance count."""
+    masks, sets, members, gammas = pairs.masks, pairs.sets, pairs.members, split.support
+    out = _Collector(Axiom.WARP)
+    for iB, iA in split.warp_failing:
         B, A = sets[iB], sets[iA]
-        out.add(lambda B=B, A=A, chosen_B=gammas[iB], cut=gammas[iA] & masks[iB]: Witness(
-            axiom=Axiom.WARP,
-            sets=(B, A),
-            elements=(),
-            lhs=None,
-            rhs=None,
-            detail=f"Γ({B})={members(chosen_B)} but Γ({A})∩{B}={members(cut)}",
+        out.add(lambda B=B, A=A, chosen_B=gammas[iB], cut=gammas[iA] & masks[iB]: (
+            (B, A), (), None, None, f"Γ({B})={members(chosen_B)} but Γ({A})∩{B}={members(cut)}",
         ))
-    return out.report(Axiom.WARP, checked, pairs.family.all_subsets)
+    return out.report(split.warp_checked, pairs.family.all_subsets)
 
 
 def check_renyi_conditioning(
@@ -1003,7 +980,7 @@ def check_renyi_conditioning(
     rhs = p(a, A) / p(B, A).
     """
     view = _view or _RuleView(rule, eps, [Axiom.RENYI_CONDITIONING])
-    out = _Collector()
+    out = _Collector(Axiom.RENYI_CONDITIONING)
     for iB, iA in view.scan_pairs(Axiom.RENYI_CONDITIONING, out):
         mass_AB = view.mass(iA, view.masks[iB])
         den_B = view.dens[iB]
@@ -1013,15 +990,11 @@ def check_renyi_conditioning(
                 continue
             if view.eq(num_B[j] * mass_AB, num_A[j] * den_B):
                 continue
-            B, A, a = view.sets[iB], view.sets[iA], view.labels[j]
-            out.add(lambda B=B, A=A, a=a: Witness(
-                axiom=Axiom.RENYI_CONDITIONING,
-                sets=(B, A),
-                elements=(a,),
-                lhs=rule.p(a, B),
-                rhs=rule.p(a, A) / rule.p_set(B, A),
+            out.add(lambda iB=iB, iA=iA, j=j: (
+                (view.sets[iB], view.sets[iA]), (view.labels[j],),
+                view.p(iB, j), view.p(iA, j) / view.p_set(iA, view.masks[iB]),
             ))
-    return out.report(Axiom.RENYI_CONDITIONING, view.shares().supported, rule.family.all_subsets)
+    return out.report(view.shares().supported, rule.family.all_subsets)
 
 
 def _check_support_warp(
@@ -1030,10 +1003,9 @@ def _check_support_warp(
     """WARP of the rule's support at the rule's own eps, from the view's split in
     exact mode and after the float pass; float WARP alone walks the support masks."""
     view = _view or _RuleView(rule)
-    if not (view.exact or view._walked):
-        return _warp_scan(view.pairs, view.support_masks(rule.eps))
-    split = view._split()
-    return _warp_report(view.pairs, split.support, split.warp_failing, split.warp_checked)
+    if view.exact or view._walked:
+        return _warp_report(view.pairs, view._split())
+    return _warp_report(view.pairs, _walk_pairs(view.pairs, view.support_masks(rule.eps)))
 
 
 # One entry per axiom, in report order; every rule-level checker call goes
@@ -1074,7 +1046,10 @@ def replay_witness(
 
     This path shares no arithmetic with the checkers but the tolerance test
     :func:`within_tolerance`: it works from the rule's probability lookups
-    (or the correspondence) directly, not from bitmask rows. A WARP
+    (or the correspondence) directly. The checkers read everything, witness
+    values included, off the bitmask rows and never call these lookups, so a
+    replay, or these lookups set beside a witness's ``lhs`` and ``rhs``, is an
+    independent check of it. A WARP
     witness needs a :class:`ChoiceCorrespondence`; passing a rule checks its
     support correspondence instead.
     """

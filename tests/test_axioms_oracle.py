@@ -8,6 +8,7 @@ every checker's encoded report is byte-identical to the reference's: same
 verdict, violation count, witnesses in the same order, and instance count.
 """
 
+import json
 import random
 import struct
 
@@ -839,3 +840,128 @@ class TestFloatArrays:
         for eps in (None, 1e-3):
             ours, reference = check_all(rule, eps=eps), oracle.check_all(rule, eps=eps)
             assert encoded(list(ours.values())) == encoded(list(reference.values()))
+
+
+def spy_on_lookups(monkeypatch) -> list:
+    """Record every call of the rule's probability lookups ``p``, ``p_set`` and ``row``."""
+    calls = []
+    for name in ("p", "p_set", "row"):
+        real = getattr(RandomChoiceRule, name)
+        monkeypatch.setattr(
+            RandomChoiceRule, name,
+            lambda self, *args, name=name, real=real: calls.append(name) or real(self, *args),
+        )
+    return calls
+
+
+def count_pair_walks(monkeypatch) -> list:
+    """Record every call of ``_walk_pairs``, the one Python scan of nested pairs."""
+    calls = []
+    real = axioms._walk_pairs
+
+    def walk_pairs(index, support, pairs=None, rows=None):
+        calls.append(rows is not None)
+        return real(index, support, pairs, rows)
+
+    monkeypatch.setattr(axioms, "_walk_pairs", walk_pairs)
+    return calls
+
+
+def negative_zero_rule():
+    """A float rule on all subsets of {a, b, c}: uniform rows, but for p(·, abc) =
+    (−0.0, 1.0, 0.0) and p(·, ac) = (−0.0, 1.0)."""
+    family = ChoiceFamily.of_all_subsets(Universe("abc"))
+    table = {A: {a: 1.0 / len(A) for a in A} for A in family}
+    table[ChoiceSet("abc")] = {"a": -0.0, "b": 1.0, "c": 0.0}
+    table[ChoiceSet("ac")] = {"a": -0.0, "c": 1.0}
+    return RandomChoiceRule(family, table, mode="float")
+
+
+class TestWitnessesFromRows:
+    """Witness values come from the view's rows, as the rule's lookups give them."""
+
+    def test_negative_zero_cells_keep_the_lookups_signs(self):
+        rule = negative_zero_rule()
+        ours, reference = check_all(rule), oracle.check_all(rule)
+        assert encoded(list(ours.values()), rule) == encoded(list(reference.values()), rule)
+        a, ab, abc = ChoiceSet("a"), ChoiceSet("ab"), ChoiceSet("abc")
+
+        def lhs(axiom, sets, elements=()):
+            (value,) = [w.lhs for w in ours[axiom].witnesses if w.sets == sets and w.elements == elements]
+            return json.dumps(value)
+
+        # A one-member set's mass is summed from zero, so -0.0 reads +0.0 ...
+        assert lhs(Axiom.SET_CHOICE_AXIOM, (a, ab, abc)) == "0.0"
+        assert lhs(Axiom.SET_INTERSECTION_RULE, (a, ab, abc)) == "0.0"
+        # ... while a cell is read as stored.
+        assert lhs(Axiom.POSITIVITY, (ChoiceSet("ac"),), ("a",)) == "-0.0"
+        assert lhs(Axiom.FULL_SUPPORT, (abc,), ("a",)) == "-0.0"
+        assert lhs(Axiom.CHOICE_AXIOM, (ab, abc), ("a",)) == "-0.0"
+
+    @pytest.mark.parametrize("as_float", [False, True])
+    @pytest.mark.parametrize("kind, seed", [("complete", 1), ("complete", 2), ("partial", 5), ("partial", 6)])
+    def test_checkers_call_no_rule_lookup(self, monkeypatch, kind, seed, as_float):
+        rng = random.Random(seed)
+        family = ChoiceFamily.of_all_subsets(helpers.universe_of(5)) if kind == "complete" else partial_family(rng)
+        rule = make_rule(rng, family, True, False)
+        for _ in range(4):  # enough edits that every checker fails
+            rule = helpers.perturb_rule(rule, rng)
+        if as_float:
+            rule = rule.as_float()
+        reference = oracle.check_all(rule)
+        single = {**{axiom: checker for axiom, (checker, _) in RULE_CHECKERS.items()},
+                  Axiom.WARP: axioms._check_support_warp}
+        calls = spy_on_lookups(monkeypatch)
+        ours = check_all(rule)
+        alone = {axiom: single[axiom](rule) for axiom in ours}
+        assert calls == []
+        assert encoded(list(ours.values())) == encoded(list(reference.values()))
+        assert encoded(list(alone.values())) == encoded(list(reference.values()))
+        assert not any(r.holds for r in ours.values())
+
+    def test_negative_zero_rule_calls_no_rule_lookup(self, monkeypatch):
+        rule = negative_zero_rule()
+        reference = encoded(list(oracle.check_all(rule).values()))
+        calls = spy_on_lookups(monkeypatch)
+        assert encoded(list(check_all(rule).values())) == reference
+        assert calls == []
+
+
+class TestOnePairScan:
+    """``_walk_pairs`` is the one Python scan of nested pairs, run once per need."""
+
+    @pytest.mark.parametrize("kind", ["shift", "cut", "swap"])
+    def test_failing_exact_check_all_walks_once(self, monkeypatch, kind):
+        rng = random.Random(3)
+        rule = near_miss(holding_rule(6, 3, True), kind, rng)
+        reference = encoded(list(oracle.check_all(rule).values()))
+        calls = count_pair_walks(monkeypatch)
+        ours = check_all(rule)
+        assert not ours[Axiom.CHOICE_AXIOM].holds
+        assert calls == [True]  # one walk, against the rule's rows
+        assert encoded(list(ours.values())) == reference
+
+    def test_warp_of_a_correspondence_and_float_warp_alone_walk_once(self, monkeypatch):
+        rng = random.Random(8)
+        rule = make_rule(rng, ChoiceFamily.of_all_subsets(helpers.universe_of(5)), True, True).as_float()
+        corr = support_correspondence(rule)
+        reference = oracle.check_all(rule)[Axiom.WARP], oracle.check_warp(corr)
+        calls = count_pair_walks(monkeypatch)
+        assert encoded([axioms._check_support_warp(rule), check_warp(corr)]) == encoded(list(reference))
+        assert calls == [False, False]
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=7), data=st.data())
+    def test_closed_form_counts_on_any_support(self, n, data):
+        # Random nonempty supports, not of the Luce form. The walk counts the
+        # shares off ``support`` when given rows; the rows only add residuals.
+        universe = helpers.universe_of(n)
+        family = ChoiceFamily.of_all_subsets(universe)
+        rule = luce_rule(helpers.random_rational_weights(universe, random.Random(n)), family)
+        pairs = axioms._NestedPairs(family)
+        support = []
+        for mask in pairs.masks:
+            sub = data.draw(st.integers(min_value=1, max_value=mask)) & mask
+            support.append(sub or mask & -mask)
+        walked = axioms._walk_pairs(pairs, support, rows=(rule._dens, rule._nums))
+        assert axioms._complete_counts(pairs.masks, support) == (walked.shares, walked.warp_checked)
