@@ -22,21 +22,22 @@ for some j ∈ B (N a row's numerators, D_B B's denominator, M_AB = Σ_{j∈B} N
 Every pair-based identity is an integer combination of these residuals, so
 only those pairs are scanned instance by instance.
 
-On a complete family the exact split walks few pairs, by the source paper's
-theorem: a rule satisfies the choice axiom exactly when it is
-``general_luce_rule(Γ, v)`` with Γ a weak order's maximizers. Every
-instance count follows in closed form from |A| and |supp p_A|, whatever the
-support, and a pair with neither set among the misfits M of
-:meth:`_RuleView.luce_fit` has zero residuals and holds WARP, so only the
-pairs touching each S ∈ M are walked, once: none for a holding rule. The
-full walk runs when v is undefined, when M touches over ``_LOCAL_PAIRS``
-pairs, and on partial families.
+On a complete family :func:`_split_pairs` walks few pairs, by the source
+paper's theorem: a rule satisfies the choice axiom exactly when it is
+``general_luce_rule(Γ, v)`` with Γ a weak order's maximizers, and with every
+pair present such a Γ is the one :func:`_least_rank` reads off the pairs
+(Arrow 1959). Every instance count follows in closed form from |A| and
+|supp p_A|. A pair with neither set among the misfits M holds WARP, and has
+zero residuals when M are the Luce-fit misfits of :meth:`_RuleView.luce_fit`,
+so only the pairs touching each S ∈ M are walked, once. Without rows, M are
+the sets whose support is not Γ(A). Every pair is walked when v is
+undefined, when M touches over ``_LOCAL_PAIRS`` pairs, and on partial families.
 
 Float mode compares every instance of the requested axioms in one numpy pass
 over chunks of pairs of one size |B|, with the scalar scan's operations in
 the same order, so each boolean equals the scalar one; the scalar loops then
 rerun on the failing pairs only, in scan order, until the witness cap. WARP
-alone walks the support masks in Python, without numpy.
+alone is split in Python, without numpy.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def _complete_counts(masks: list[int], support: list[int]) -> tuple[_PairShares,
         supported += count * g * ((1 << (k - 1)) - 1)
         if k >= 3:
             odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
-        warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
+        warp_checked += count * max(0, (1 << k) - (1 << (k - g)) - 1)
     return _PairShares.from_sizes(per_size, supported, odds), warp_checked
 
 
@@ -479,8 +480,7 @@ class _RuleView:
         (indices) are (A, None) for each set whose support is not Γ(A), then,
         with v, (A, j) for each other set's first cell of Γ(A) off the Luce
         rule: N_A[j]·Σ_{Γ(A)} w = w_j·D_A (w the v over one lcm), or within eps
-        of v_j / Σ_{Γ(A)} v summed in label order. The cells stop once the
-        misfits touch :data:`_LOCAL_PAIRS` pairs; the first misfit is kept.
+        of v_j / Σ_{Γ(A)} v summed in label order.
         """
         nums, n, index, exact, eps = self.nums, self.n, self.pairs.index, self.exact, self.eps
         support = self.support_masks(0 if exact else eps)
@@ -498,11 +498,8 @@ class _RuleView:
                 num = nums[pair]
                 v[j] = Fraction(num[j], num[r]) if exact else num[j] / num[r]
         w = _over_lcm(v)[1] if exact else v
-        touched = sum(_touching(self.masks[i].bit_count(), n) for i, _ in misfits)
         off = {i for i, _ in misfits}
         for i, (gamma, num, den) in enumerate(zip(gammas, nums, self.dens)):
-            if touched > _LOCAL_PAIRS:
-                break
             if i in off:
                 continue
             bits = list(_iter_bits(gamma))
@@ -511,52 +508,19 @@ class _RuleView:
                 if not (num[j] * total == w[j] * den if exact
                         else within_tolerance(w[j] / total, num[j], eps)):
                     misfits.append((i, j))
-                    touched += _touching(self.masks[i].bit_count(), n)
                     break
         return ranks, gammas, v, misfits
 
     def _split(self) -> "_Split":
-        """The pair split, built on first use: float mode's array pass; in exact
-        mode the local split around the Luce fit's misfits, else the full walk."""
-        if self._walked is None:
-            if self.exact:
-                self._walked = self._local_split() or self._walk()
-            else:
-                self._walked = self._float_split()
+        """The pair split, built on first use: float mode's array pass, or in exact
+        mode :func:`_split_pairs` around the Luce fit's misfits, if v is defined."""
+        if self._walked is None and not self.exact:
+            self._walked = self._float_split()
+        elif self._walked is None:
+            v, fit = self.luce_fit()[2:] if self.pairs.family.all_subsets else (None, [])
+            misfits = None if v is None else [i for i, _ in fit]
+            self._walked = _split_pairs(self.pairs, self.support_masks(0), (self.dens, self.nums), misfits)
         return self._walked
-
-    def _local_split(self) -> "_Split | None":
-        """The exact split on a complete family from the Luce fit; None for the full walk.
-
-        The counts come in closed form from the supports (:func:`_complete_counts`).
-        A pair with neither set among the misfits is a pair of the Luce rule:
-        its residuals are zero and its supports, Γ's, hold WARP. So the pairs
-        (B, S) and (S, A) of each misfit S are walked once, in scan order,
-        against the rule, for its nonzero residuals and WARP failures.
-        """
-        if not (self.exact and self.pairs.family.all_subsets):
-            return None
-        _, _, v, misfits = self.luce_fit()
-        n, masks, index = self.n, self.masks, self.pairs.index
-        if v is None or sum(_touching(masks[i].bit_count(), n) for i, _ in misfits) > _LOCAL_PAIRS:
-            return None
-        touched: set[tuple[int, int]] = set()
-        for s, _ in misfits:
-            touched.update((iB, s) for iB in self.pairs.subsets_of(s))
-            mS = masks[s]
-            sup = rest = ((1 << n) - 1) & ~mS
-            while sup:
-                touched.add((s, index[mS | sup]))
-                sup = (sup - 1) & rest
-        pairs = sorted(touched, key=lambda pair: (pair[1], pair[0]))
-        support = self.support_masks(0)
-        walked = _walk_pairs(self.pairs, support, pairs, (self.dens, self.nums))
-        shares, warp_checked = _complete_counts(masks, support)
-        return walked._replace(shares=shares, warp_checked=warp_checked)
-
-    def _walk(self) -> "_Split":
-        """The full exact walk over every nested pair, in scan order."""
-        return _walk_pairs(self.pairs, self.support_masks(0), rows=(self.dens, self.nums))
 
     def _float_split(self) -> "_Split":
         """Float mode's one numpy pass: shares at the view's eps, WARP at the rule's,
@@ -673,8 +637,7 @@ def _walk_pairs(
     given exact rows (D_A, N_A), also for the pairs with a nonzero residual and for
     the shares, which only the full exact walk reads (None without rows).
 
-    The one Python scan of nested pairs: the full exact walk, the local split,
-    :func:`check_warp` and float WARP alone all run it.
+    The one Python scan of nested pairs; :func:`_split_pairs` is its one caller.
     """
     masks = index.masks
     if pairs is None:
@@ -708,6 +671,41 @@ def _walk_pairs(
                     warp_failing.append((iB, iA))
     shares = _PairShares.from_sizes(per_size, supported, odds) if rows else None
     return _Split(failing, shares, support, warp_checked, warp_failing)
+
+
+def _split_pairs(
+    index: _NestedPairs,
+    support: list[int],
+    rows: tuple[list[Value], list[list[Value]]] | None = None,
+    misfits: list[int] | None = None,
+) -> _Split:
+    """The split of the nested pairs: WARP off ``support`` and, given exact rows,
+    the pairs with a nonzero residual and the shares.
+
+    On a complete family only the pairs (B, S) and (S, A) of each misfit S are
+    walked, once, in scan order, and the counts come in closed form
+    (:func:`_complete_counts`); see the module docstring. The misfits default
+    to the sets whose support is not Γ(A), enough for WARP but not for rows.
+    Rows without misfits (v undefined), partial families and misfits touching
+    over :data:`_LOCAL_PAIRS` pairs walk every pair.
+    """
+    masks, n = index.masks, len(index.labels)
+    if index.family.all_subsets and (rows is None or misfits is not None):
+        if misfits is None:
+            gammas = _least_rank(index, support)[2]
+            misfits = [i for i, (supp, gamma) in enumerate(zip(support, gammas)) if supp != gamma]
+        if sum(_touching(masks[i].bit_count(), n) for i in misfits) <= _LOCAL_PAIRS:
+            touched: set[tuple[int, int]] = set()
+            for s in misfits:
+                touched.update((iB, s) for iB in index.subsets_of(s))
+                sup = rest = ((1 << n) - 1) & ~masks[s]
+                while sup:
+                    touched.add((s, index.index[masks[s] | sup]))
+                    sup = (sup - 1) & rest
+            walked = _walk_pairs(index, support, sorted(touched, key=lambda pair: (pair[1], pair[0])), rows)
+            shares, warp_checked = _complete_counts(masks, support)
+            return walked._replace(shares=shares if rows else None, warp_checked=warp_checked)
+    return _walk_pairs(index, support, rows=rows)
 
 
 class _Collector:
@@ -765,10 +763,10 @@ def check_odds_independence(
     """Do binary odds predict in-set odds: p(a,{a,b})/p(b,{a,b}) = p(a,A)/p(b,A)?
 
     Both sides are compared as extended ratios (a positive mass against a
-    zero mass is an infinite ratio). The instances are the nested pairs
-    ({a, b}, A) of the family; those whose right side is 0/0 are skipped.
-    Witness layout: sets = ({a,b}, A), elements = (a, b), lhs and rhs the two
-    :class:`ExtendedRatio` values.
+    zero mass is infinite). The instances are the nested pairs ({a, b}, A)
+    without 0/0 on A; each pair the split yields fails, since extended odds
+    fix a distribution on two points. Witness layout: sets = ({a,b}, A),
+    elements = (a, b), lhs and rhs the two :class:`ExtendedRatio` values.
     """
     view = _view or _RuleView(rule, eps, [Axiom.ODDS_INDEPENDENCE])
     out = _Collector(Axiom.ODDS_INDEPENDENCE)
@@ -777,14 +775,6 @@ def check_odds_independence(
         if mP.bit_count() != 2:
             continue
         j, k = _iter_bits(mP)
-        num_A, num_P, pos = view.nums[iA], view.nums[iP], view.positive
-        finite_A, finite_P = pos(num_A[k]), pos(num_P[k])  # else infinite or 0/0
-        if not (finite_A or pos(num_A[j])):
-            continue  # 0/0 on A
-        if finite_A and finite_P and view.eq(num_P[j] * num_A[k], num_P[k] * num_A[j]):
-            continue
-        if not (finite_A or finite_P) and pos(num_P[j]):
-            continue  # both infinite
         tol = 0.0 if view.exact else view.eps
         out.add(lambda iP=iP, iA=iA, j=j, k=k, tol=tol: (
             (view.sets[iP], view.sets[iA]), (view.labels[j], view.labels[k]),
@@ -954,7 +944,7 @@ def check_warp(corr: ChoiceCorrespondence) -> AxiomReport:
     """
     pairs = _NestedPairs(corr.family)
     gammas = [pairs.mask(corr.table[A].members) for A in pairs.sets]
-    return _warp_report(pairs, _walk_pairs(pairs, gammas))
+    return _warp_report(pairs, _split_pairs(pairs, gammas))
 
 
 def _warp_report(pairs: _NestedPairs, split: _Split) -> AxiomReport:
@@ -1001,11 +991,11 @@ def _check_support_warp(
     rule: RandomChoiceRule, *, eps: float | None = None, _view: _RuleView | None = None
 ) -> AxiomReport:
     """WARP of the rule's support at the rule's own eps, from the view's split in
-    exact mode and after the float pass; float WARP alone walks the support masks."""
+    exact mode and after the float pass; float WARP alone splits the support masks."""
     view = _view or _RuleView(rule)
     if view.exact or view._walked:
         return _warp_report(view.pairs, view._split())
-    return _warp_report(view.pairs, _walk_pairs(view.pairs, view.support_masks(rule.eps)))
+    return _warp_report(view.pairs, _split_pairs(view.pairs, view.support_masks(rule.eps)))
 
 
 # One entry per axiom, in report order; every rule-level checker call goes

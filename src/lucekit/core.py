@@ -262,8 +262,6 @@ class RandomChoiceRule:
                     raise ValueError(f"probabilities outside [0, 1] on {cs}")
                 if sum(cells) != den:
                     raise ValueError(f"masses on {cs} sum to {sum(vals.values())}, not 1")
-                if not any(cells):
-                    raise ValueError(f"empty support on {cs}")
             else:
                 vals = {
                     a: x if type(x := row.get(a, 0.0)) is float else _as_float(x, a, cs)

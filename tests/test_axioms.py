@@ -13,6 +13,7 @@ from lucekit import (
     RandomChoiceRule,
     Universe,
     WITNESS_CAP,
+    Witness,
     check_all,
     check_choice_axiom,
     check_full_support,
@@ -104,6 +105,57 @@ class TestFailingRule:
         rule = bad_rule().as_float()
         for checker in FIVE_EQUIVALENTS:
             assert not checker(rule).holds
+
+
+def degenerate_rule() -> RandomChoiceRule:
+    """Uniform pairs with all of abc's mass on a: a's odds against b turn
+    infinite, b against c turn 0/0, and abc's support {a} fails WARP on ab."""
+    u = Universe("abc")
+    half = Fraction(1, 2)
+    table = {A: {a: half for a in A} for A in map(ChoiceSet, ("ab", "ac", "bc"))}
+    table.update({ChoiceSet(a): {a: 1} for a in "abc"})
+    table[ChoiceSet("abc")] = {"a": 1, "b": 0, "c": 0}
+    return RandomChoiceRule(ChoiceFamily.of_all_subsets(u), table)
+
+
+class TestReplayBranches:
+    def test_warp_witness_against_a_rule_and_a_correspondence(self):
+        rule = degenerate_rule()
+        corr = support_correspondence(rule)
+        witness = check_warp(corr).witnesses[0]
+        assert witness.sets == (ChoiceSet("ab"), ChoiceSet("abc"))
+        assert replay_witness(rule, witness) and replay_witness(corr, witness)
+        fake = Witness(Axiom.WARP, (ChoiceSet("a"), ChoiceSet("abc")), (), None, None)
+        assert not replay_witness(rule, fake) and not replay_witness(corr, fake)
+
+    def test_other_witnesses_need_a_rule(self):
+        rule = degenerate_rule()
+        witness = check_choice_axiom(rule).witnesses[0]
+        with pytest.raises(TypeError) as exc:
+            replay_witness(support_correspondence(rule), witness)
+        assert str(exc.value) == "choice-axiom witnesses replay against a rule"
+
+    def test_odds_with_mismatched_kinds_and_an_indeterminate_right_side(self):
+        rule = degenerate_rule()
+        ab, bc, abc = ChoiceSet("ab"), ChoiceSet("bc"), ChoiceSet("abc")
+        found = {w.sets: w for w in check_odds_independence(rule).witnesses}
+        # 1 against ∞: the kinds differ.
+        assert found[(ab, abc)].lhs.is_finite and found[(ab, abc)].rhs.is_infinite
+        assert replay_witness(rule, found[(ab, abc)])
+        # 0/0 on abc is no instance, so no witness.
+        assert (bc, abc) not in found
+        assert not replay_witness(rule, Witness(Axiom.ODDS_INDEPENDENCE, (bc, abc), ("b", "c"), None, None))
+
+    def test_renyi_outside_the_support(self):
+        rule = degenerate_rule()
+        witness = Witness(Axiom.RENYI_CONDITIONING, (ChoiceSet("bc"), ChoiceSet("abc")), ("b",), None, None)
+        assert not replay_witness(rule, witness)
+
+    def test_unknown_axiom(self):
+        witness = Witness("bogus", (ChoiceSet("ab"),), ("a",), None, None)
+        with pytest.raises(ValueError) as exc:
+            replay_witness(degenerate_rule(), witness)
+        assert str(exc.value) == "unknown axiom 'bogus'"
 
 
 class TestPassingRules:

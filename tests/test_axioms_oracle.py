@@ -405,16 +405,25 @@ class TestOneIndexPerRule:
             assert not ours[Axiom.CHOICE_AXIOM].holds
 
     def test_float_warp_alone_walks_each_set_once(self, monkeypatch, tmp_path, capsys):
+        # On a complete family only the sets whose support is not Γ(A) are
+        # walked; on a partial family every set is.
         rng = random.Random(12)
-        family = ChoiceFamily.of_all_subsets(helpers.universe_of(5))
-        rule = make_rule(rng, family, True, True).as_float()
-        path = tmp_path / "rule.json"
-        write_document(str(path), rule)
-        reference = oracle.check_all(rule)[Axiom.WARP]
-        calls = count_walks(monkeypatch)
-        assert main(["check", str(path), "--axioms", "warp"]) == (0 if reference.holds else 1)
-        assert len(calls) == len(rule.family)
-        assert capsys.readouterr().out == encoded([reference], rule)
+        complete = ChoiceFamily.of_all_subsets(helpers.universe_of(5))
+        for family in (complete, partial_family(rng)):
+            rule = make_rule(rng, family, True, True).as_float()
+            path = tmp_path / "rule.json"
+            write_document(str(path), rule)
+            reference = oracle.check_all(rule)[Axiom.WARP]
+            with monkeypatch.context() as m:
+                calls = count_walks(m)
+                assert main(["check", str(path), "--axioms", "warp"]) == (0 if reference.holds else 1)
+            assert capsys.readouterr().out == encoded([reference], rule)
+            if family is complete:
+                misfits = warp_misfits(support_correspondence(rule))
+                assert 0 < len(misfits) < len(family)
+                assert [family.sets[i] for i in calls] == misfits
+            else:
+                assert calls == list(range(len(family)))
 
 
 class TestWarpMatchesOracle:
@@ -490,8 +499,34 @@ def certificate(view):
 def without_certificate(monkeypatch, rule) -> str:
     """The report with the local split turned off, so that the full walk runs."""
     with monkeypatch.context() as m:
-        m.setattr(axioms._RuleView, "_local_split", lambda self: None)
+        m.setattr(axioms, "_LOCAL_PAIRS", -1)  # no set of misfits is under budget
         return encoded(list(check_all(rule).values()))
+
+
+def full_walk(view):
+    """The exact split with every pair walked: rows without misfits."""
+    return axioms._split_pairs(view.pairs, view.support_masks(0), (view.dens, view.nums))
+
+
+def local_split(view):
+    """The exact split around the view's Luce-fit misfits; None when v is undefined."""
+    _, _, v, misfits = view.luce_fit()
+    if v is None:
+        return None
+    rows = view.dens, view.nums
+    return axioms._split_pairs(view.pairs, view.support_masks(0), rows, [i for i, _ in misfits])
+
+
+def warp_misfits(corr) -> list:
+    """The sets whose Γ(A) is not the members of A that the fewest pairs leave out."""
+    family = corr.family
+    left_out = {a: 0 for a in family.universe}
+    for P in family:
+        if len(P) == 2:
+            for a in P:
+                left_out[a] += a not in corr.gamma(P)
+    best = lambda A: ChoiceSet(a for a in A if left_out[a] == min(left_out[b] for b in A))
+    return [A for A in family if corr.gamma(A) != best(A)]
 
 
 def near_miss(rule, kind: str, rng: random.Random):
@@ -574,7 +609,7 @@ class TestCertificate:
         view = axioms._RuleView(holding_rule(n, 200 + n, selective))
         gammas = certificate(view)
         assert gammas == view.support_masks(0)
-        assert view._local_split() == view._walk()
+        assert local_split(view) == full_walk(view)
 
     @pytest.mark.parametrize("n", range(11))
     def test_every_mask_is_the_canonical_order(self, n):
@@ -630,9 +665,17 @@ class TestLocalSplit:
             kind = "shift"  # a full-support rule has no zero to swap with
         rule = edit_rows(rule, rng, kind, count)
         view = axioms._RuleView(rule)
-        local = view._local_split()
+        local, full = local_split(view), full_walk(view)
+        walks = []
+        real = axioms._walk_pairs
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(axioms, "_walk_pairs", lambda index, support, pairs=None, rows=None: (
+                walks.append(pairs is None) or real(index, support, pairs, rows)))
+            split = axioms._RuleView(rule)._split()
         # The failing pairs, the shares, the WARP count and its failing pairs.
-        assert (local or view._split()) == view._walk()
+        assert (local or split) == full and split == full
+        # The view walks every pair exactly when v is undefined.
+        assert walks == [local is None]
         assert (local is None) == (view.luce_fit()[2] is None)
 
     @pytest.mark.parametrize("kind", ["shift", "nested", "pairs"])
@@ -643,7 +686,9 @@ class TestLocalSplit:
         monkeypatch.setattr(axioms, "_LOCAL_PAIRS", 0)
         calls = count_walks(monkeypatch)
         view = axioms._RuleView(rule)
-        assert view._local_split() is None
+        assert local_split(view) == full_walk(view)
+        assert len(calls) == 2 * len(rule.family)  # both walk every set
+        calls.clear()
         assert encoded(list(check_all(rule).values())) == reference
         assert len(calls) == len(rule.family)
 
@@ -965,3 +1010,49 @@ class TestOnePairScan:
             support.append(sub or mask & -mask)
         walked = axioms._walk_pairs(pairs, support, rows=(rule._dens, rule._nums))
         assert axioms._complete_counts(pairs.masks, support) == (walked.shares, walked.warp_checked)
+
+    def test_rational_correspondence_walks_no_set(self, monkeypatch):
+        # A holding rule's support is a weak order's maximizers: no set is a
+        # WARP misfit, so no pair is walked (2^9 − 1 = 511 sets at n = 9).
+        rule = holding_rule(9, 9, True)
+        corr = support_correspondence(rule)
+        calls = count_walks(monkeypatch)
+        report = check_warp(corr)
+        assert calls == []
+        assert report.holds and report.pairs_checked > 0
+        monkeypatch.undo()
+        assert outcome(check_warp, corr) == outcome(oracle.check_warp, corr)
+
+    def test_fit_on_a_rational_complete_dataset_walks_no_set(self, monkeypatch):
+        from lucekit import ChoiceDataset, fit
+
+        universe = helpers.universe_of(7)
+        family = ChoiceFamily.of_all_subsets(universe)
+        corr = correspondence_from_order(helpers.random_weak_order(universe, random.Random(7)), family)
+        counts = {A: {a: (3 + i % 5 if a in corr.gamma(A) else 0) for i, a in enumerate(A)} for A in family}
+        calls = count_walks(monkeypatch)
+        result = fit(ChoiceDataset(universe, counts))
+        assert calls == []
+        assert result.warp_report.holds and result.gamma_hat == corr
+        assert encoded([result.warp_report]) == encoded([oracle.check_warp(corr)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=10**6),
+           kind=st.sampled_from(["support", "order", "edited"]))
+    def test_default_misfits_split_equals_the_walk(self, n, seed, kind):
+        # Random supports (empty ones included, as a float support at a wide
+        # eps can be), weak orders' maximizers, and those with a few sets moved.
+        rng = random.Random(seed)
+        universe = helpers.universe_of(n)
+        pairs = axioms._NestedPairs(ChoiceFamily.of_all_subsets(universe))
+        if kind == "support":
+            support = [rng.randrange(mask + 1) & mask for mask in pairs.masks]
+        else:
+            corr = correspondence_from_order(helpers.random_weak_order(universe, rng), pairs.family)
+            support = [pairs.mask(corr.gamma(A).members) for A in pairs.sets]
+            for _ in range(rng.randint(1, 3) if kind == "edited" else 0):
+                i = rng.randrange(len(support))
+                support[i] = rng.randint(1, pairs.masks[i]) & pairs.masks[i] or pairs.masks[i]
+        split, walked = axioms._split_pairs(pairs, support), axioms._walk_pairs(pairs, support)
+        assert (split.failing, split.support, split.warp_checked, split.warp_failing) == (
+            walked.failing, walked.support, walked.warp_checked, walked.warp_failing)

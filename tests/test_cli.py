@@ -17,12 +17,14 @@ from lucekit import (
     ChoiceDataset,
     ChoiceFamily,
     ChoiceSet,
+    DocumentError,
     LuceWeights,
     RandomChoiceRule,
     Universe,
     WeakOrder,
     correspondence_from_order,
     dumps_document,
+    from_document,
     general_luce_rule,
     loads_document,
     write_document,
@@ -562,6 +564,72 @@ class TestMalformedInputs:
         assert "Traceback" not in out.stderr
         assert out.returncode == 0 and json.loads(out.stdout) == [2] * len(calls)
         assert out.stderr.count("lucekit: ") == len(calls)
+
+
+def _document(kind, payload):
+    return {"kind": kind, "version": "1", "payload": payload}
+
+
+_PAIR_ROW = {"set": ["a", "b"], "p": {"a": "1/2", "b": "1/2"}}
+
+
+def _dataset_document(observations):
+    return _document("dataset", {"universe": ["a", "b", "c"], "observations": observations})
+
+
+# Refusals of documents the CLI reads: the document, the command that reads
+# it (given the shared documents and the document's path) and the message.
+REFUSALS = {
+    "duplicate-row": (
+        _document("rule", {"universe": ["a", "b"], "mode": "exact", "table": [_PAIR_ROW, _PAIR_ROW]}),
+        lambda w, path: ["check", path],
+        "duplicate row for {a,b}",
+    ),
+    "float-cell-in-exact-rule": (
+        _document("rule", {"universe": ["a", "b"], "mode": "exact",
+                           "table": [{"set": ["a", "b"], "p": {"a": 0.5, "b": "1/2"}}]}),
+        lambda w, path: ["check", path],
+        "exact rule has non-rational entry at ('a', {a,b})",
+    ),
+    "empty-utility": (
+        _document("utility", {"u": {}}),
+        lambda w, path: ["synthesize", "--weights", w["weights"], "--utility", path],
+        "utility payload needs a nonempty 'u' mapping",
+    ),
+    "chosen-outside-its-set": (
+        _document("correspondence", {"universe": ["a", "b", "c"],
+                                     "table": [{"set": ["a", "b"], "chosen": ["c"]}]}),
+        lambda w, path: ["synthesize", "--weights", w["weights"], "--gamma", path],
+        "chosen set {c} not contained in {a,b}",
+    ),
+    "empty-dataset": (
+        _dataset_document([]),
+        lambda w, path: ["fit", path],
+        "dataset must contain at least one observed set",
+    ),
+    "label-outside-the-universe": (
+        _dataset_document([{"set": ["a", "z"], "counts": {"a": 1}}]),
+        lambda w, path: ["fit", path],
+        "{a,z} contains 'z', not in the universe",
+    ),
+    "true-count": (
+        _dataset_document([{"set": ["a", "b"], "counts": {"a": True, "b": 1}}]),
+        lambda w, path: ["fit", path],
+        "count for 'a' in {a,b} must be an integer",
+    ),
+}
+
+
+class TestRefusalTexts:
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_document_error_and_one_line_exit_two(self, work, capsys, case):
+        doc, argv, message = REFUSALS[case]
+        with pytest.raises(DocumentError) as exc:
+            from_document(doc)
+        assert str(exc.value) == message
+        path = work["dir"] / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        assert run(argv(work, path), capsys) == (2, "", f"lucekit: {message}\n")
 
 
 class TestEncodeErrors:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucekit import (
+    ChoiceCorrespondence,
     ChoiceFamily,
     ChoiceSet,
     EXACT,
@@ -472,3 +473,19 @@ class TestOrderHelpers:
         order = helpers.random_weak_order(universe, rng)
         corr = correspondence_from_order(order, ChoiceFamily.of_all_subsets(universe))
         assert check_warp(corr).holds
+
+
+class TestChoiceCorrespondence:
+    def test_refusal_texts(self):
+        u = Universe("abc")
+        ab, bc = ChoiceSet("ab"), ChoiceSet("bc")
+        cases = [
+            (ChoiceFamily(u, [ab]), {ab: ChoiceSet("a"), bc: ChoiceSet("b")},
+             "rows for sets outside the family: ['{b,c}']"),
+            (ChoiceFamily(u, [ab, bc]), {ab: ChoiceSet("a")}, "missing row for {b,c}"),
+            (ChoiceFamily(u, [ab]), {ab: ChoiceSet("c")}, "chosen set {c} not contained in {a,b}"),
+        ]
+        for family, table, message in cases:
+            with pytest.raises(ValueError) as exc:
+                ChoiceCorrespondence(family, table)
+            assert str(exc.value) == message

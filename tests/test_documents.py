@@ -286,6 +286,27 @@ class TestRejection:
         with pytest.raises(DocumentError, match="is not a dataset document"):
             loads_document(text, kind="dataset")
 
+    @pytest.mark.parametrize("payload", [{"mode": "exact"}, ["axioms"], None])
+    def test_report_payload_needs_a_type(self, payload):
+        for write in (to_document, dumps_document):
+            with pytest.raises(DocumentError) as exc:
+                write(payload, kind="report")
+            assert str(exc.value) == "report payloads must be dicts with a 'type' field"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"holds": True}, "verdict inconsistent with violation count"),
+        ({"holds": True, "violation_count": 0}, "witness list inconsistent with violation count"),
+        ({"witnesses": []}, "witness list inconsistent with violation count"),
+    ])
+    def test_axiom_report_consistency_is_checked_on_load(self, edit, message):
+        doc = copy.deepcopy(VALID["axioms-report"])
+        report = doc["payload"]["reports"][0]
+        assert not report["holds"] and report["violation_count"] > 0 and report["witnesses"]
+        report.update(edit)
+        with pytest.raises(DocumentError) as exc:
+            loads_document(json.dumps(doc))
+        assert str(exc.value) == message
+
     def test_payload_must_be_object(self):
         with pytest.raises(DocumentError):
             from_document({"kind": "rule", "version": "1", "payload": []})

@@ -52,6 +52,18 @@ class TestChoiceDataset:
         with pytest.raises(ValueError):
             _dataset(u, {"ab": {"a": 0, "b": 0}})
 
+    def test_refusal_texts(self):
+        u = Universe("abc")
+        cases = [
+            ({}, "dataset must contain at least one observed set"),
+            ({ChoiceSet("az"): {"a": 1}}, "{a,z} contains 'z', not in the universe"),
+            ({ChoiceSet("ab"): {"a": True, "b": 1}}, "count for 'a' in {a,b} must be an integer"),
+        ]
+        for observations, message in cases:
+            with pytest.raises(ValueError) as exc:
+                ChoiceDataset(u, observations)
+            assert str(exc.value) == message
+
     def test_zero_counts_allowed_if_set_has_observations(self):
         u = Universe("ab")
         data = _dataset(u, {"ab": {"a": 5, "b": 0}})
