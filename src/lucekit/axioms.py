@@ -261,11 +261,11 @@ def _touching(k: int, n: int) -> int:
 
 
 def _complete_counts(masks: list[int], support: list[int]) -> tuple[_PairShares, int]:
-    """The shares and WARP instances of a complete family with nonempty supports.
+    """The shares and WARP instances of a complete family, whatever the supports.
 
     They depend only on the histogram of (|A|, |supp p_A|) = (k, g): C(k, b)
     subsets of size b, 2^(k−1) − 1 holding each j ∈ supp p_A, C(k, 2) − C(k − g, 2)
-    2-subsets meeting the support (k ≥ 3), and 2^k − 2^(k−g) − 1 meeting it.
+    2-subsets meeting the support (k ≥ 3), and 2^k − 2^(k−g) − 1 meeting it (none if g = 0).
     """
     per_size = [0] * (max(map(int.bit_count, masks)) + 1)
     supported = odds = warp_checked = 0
@@ -519,7 +519,8 @@ class _RuleView:
         elif self._walked is None:
             v, fit = self.luce_fit()[2:] if self.pairs.family.all_subsets else (None, [])
             misfits = None if v is None else [i for i, _ in fit]
-            self._walked = _split_pairs(self.pairs, self.support_masks(0), (self.dens, self.nums), misfits)
+            rows = self.dens, self.nums
+            self._walked = _split_pairs(self.pairs, self.support_masks(0), rows, misfits)
         return self._walked
 
     def _float_split(self) -> "_Split":
@@ -702,7 +703,7 @@ def _split_pairs(
                 while sup:
                     touched.add((s, index.index[masks[s] | sup]))
                     sup = (sup - 1) & rest
-            walked = _walk_pairs(index, support, sorted(touched, key=lambda pair: (pair[1], pair[0])), rows)
+            walked = _walk_pairs(index, support, sorted(touched, key=itemgetter(1, 0)), rows)
             shares, warp_checked = _complete_counts(masks, support)
             return walked._replace(shares=shares if rows else None, warp_checked=warp_checked)
     return _walk_pairs(index, support, rows=rows)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from lucekit import (
     Axiom,
     ChoiceCorrespondence,
+    ChoiceDataset,
     ChoiceFamily,
     ChoiceSet,
     FamilySizeError,
@@ -38,6 +39,7 @@ from lucekit import (
     check_warp,
     correspondence_from_order,
     dumps_document,
+    fit,
     general_luce_rule,
     luce_rule,
     support_correspondence,
@@ -1024,8 +1026,6 @@ class TestOnePairScan:
         assert outcome(check_warp, corr) == outcome(oracle.check_warp, corr)
 
     def test_fit_on_a_rational_complete_dataset_walks_no_set(self, monkeypatch):
-        from lucekit import ChoiceDataset, fit
-
         universe = helpers.universe_of(7)
         family = ChoiceFamily.of_all_subsets(universe)
         corr = correspondence_from_order(helpers.random_weak_order(universe, random.Random(7)), family)
