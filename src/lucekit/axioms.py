@@ -261,11 +261,11 @@ def _touching(k: int, n: int) -> int:
 
 
 def _complete_counts(masks: list[int], support: list[int]) -> tuple[_PairShares, int]:
-    """The shares and WARP instances of a complete family, whatever the supports.
+    """The shares and WARP instances of a complete family with nonempty supports.
 
     They depend only on the histogram of (|A|, |supp p_A|) = (k, g): C(k, b)
     subsets of size b, 2^(k−1) − 1 holding each j ∈ supp p_A, C(k, 2) − C(k − g, 2)
-    2-subsets meeting the support (k ≥ 3), and 2^k − 2^(k−g) − 1 meeting it (none if g = 0).
+    2-subsets meeting the support (k ≥ 3), and 2^k − 2^(k−g) − 1 meeting it.
     """
     per_size = [0] * (max(map(int.bit_count, masks)) + 1)
     supported = odds = warp_checked = 0
@@ -276,7 +276,7 @@ def _complete_counts(masks: list[int], support: list[int]) -> tuple[_PairShares,
         supported += count * g * ((1 << (k - 1)) - 1)
         if k >= 3:
             odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
-        warp_checked += count * max(0, (1 << k) - (1 << (k - g)) - 1)
+        warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
     return _PairShares.from_sizes(per_size, supported, odds), warp_checked
 
 

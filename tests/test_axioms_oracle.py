@@ -1040,13 +1040,14 @@ class TestOnePairScan:
     @given(n=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=10**6),
            kind=st.sampled_from(["support", "order", "edited"]))
     def test_default_misfits_split_equals_the_walk(self, n, seed, kind):
-        # Random supports (empty ones included, as a float support at a wide
-        # eps can be), weak orders' maximizers, and those with a few sets moved.
+        # Random nonempty supports (a rule's support at its own eps and a
+        # correspondence's Γ are never empty), weak orders' maximizers, and
+        # those with a few sets moved.
         rng = random.Random(seed)
         universe = helpers.universe_of(n)
         pairs = axioms._NestedPairs(ChoiceFamily.of_all_subsets(universe))
         if kind == "support":
-            support = [rng.randrange(mask + 1) & mask for mask in pairs.masks]
+            support = [rng.randint(1, mask) & mask or mask & -mask for mask in pairs.masks]
         else:
             corr = correspondence_from_order(helpers.random_weak_order(universe, rng), pairs.family)
             support = [pairs.mask(corr.gamma(A).members) for A in pairs.sets]
