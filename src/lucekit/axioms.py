@@ -60,6 +60,7 @@ from .core import (
     ExtendedRatio,
     RandomChoiceRule,
     Value,
+    _fold_ascending,
     _over_lcm,
     check_eps,
     support_correspondence,
@@ -202,10 +203,11 @@ class _NestedPairs:
         return hits
 
 
-def _least_rank(pairs: _NestedPairs, chosen: list[int]) -> tuple[list[int], list[int], list[int]]:
+def _least_rank(pairs: _NestedPairs, chosen: list[int]) -> tuple[list[int], ...]:
     """Ranks (pairs whose ``chosen`` mask leaves an alternative out; every pair is
-    needed), tiers (one rank's bitmask) best first, and per set Γ(A), the members
-    of A of least rank: a weak order's maximizers, so Γ satisfies WARP."""
+    needed), tiers (one rank's bitmask) best first, per set Γ(A), the members of A
+    of least rank: a weak order's maximizers, so Γ satisfies WARP, and the misfits:
+    the sets whose ``chosen`` mask is not Γ(A), none exactly when ``chosen`` is rational."""
     n, index = len(pairs.labels), pairs.index
     ranks = [0] * n
     for k in range(n):
@@ -218,7 +220,7 @@ def _least_rank(pairs: _NestedPairs, chosen: list[int]) -> tuple[list[int], list
         tiers[rank] = tiers.get(rank, 0) | 1 << j
     best_first = [tiers[rank] for rank in sorted(tiers)]
     gammas = [next(mask & tier for tier in best_first if mask & tier) for mask in pairs.masks]
-    return ranks, best_first, gammas
+    return ranks, best_first, gammas, [i for i, (c, g) in enumerate(zip(chosen, gammas)) if c != g]
 
 
 class _PairShares(NamedTuple):
@@ -278,14 +280,6 @@ def _complete_counts(masks: list[int], support: list[int]) -> tuple[_PairShares,
             odds += count * (math.comb(k, 2) - math.comb(k - g, 2))
         warp_checked += count * ((1 << k) - (1 << (k - g)) - 1)
     return _PairShares.from_sizes(per_size, supported, odds), warp_checked
-
-
-def _fold_ascending(cols):
-    """Σ of the columns, added left to right from 0 as builtin ``sum`` does (3.11)."""
-    total = 0
-    for col in cols:
-        total = total + col
-    return total
 
 
 def _float_choice(XA, XB, eps):
@@ -484,21 +478,19 @@ class _RuleView:
         """
         nums, n, index, exact, eps = self.nums, self.n, self.pairs.index, self.exact, self.eps
         support = self.support_masks(0 if exact else eps)
-        ranks, best_first, gammas = _least_rank(self.pairs, support)
-        misfits: list[tuple[int, int | None]] = [
-            (i, None) for i, (supp, gamma) in enumerate(zip(support, gammas)) if supp != gamma
-        ]
+        ranks, best_first, gammas, unfit = _least_rank(self.pairs, support)
+        misfits: list[tuple[int, int | None]] = [(i, None) for i in unfit]
+        off = set(unfit)
         v: list[Value] = [Fraction(1) if exact else 1.0] * n
         for tier in best_first:
             r = (tier & -tier).bit_length() - 1  # the tier's lowest index
             for j in _iter_bits(tier & (tier - 1)):
                 pair = index[(1 << j) | (1 << r)]
-                if support[pair] != gammas[pair]:
+                if pair in off:
                     return ranks, gammas, None, misfits
                 num = nums[pair]
                 v[j] = Fraction(num[j], num[r]) if exact else num[j] / num[r]
         w = _over_lcm(v)[1] if exact else v
-        off = {i for i, _ in misfits}
         for i, (gamma, num, den) in enumerate(zip(gammas, nums, self.dens)):
             if i in off:
                 continue
@@ -693,8 +685,7 @@ def _split_pairs(
     masks, n = index.masks, len(index.labels)
     if index.family.all_subsets and (rows is None or misfits is not None):
         if misfits is None:
-            gammas = _least_rank(index, support)[2]
-            misfits = [i for i, (supp, gamma) in enumerate(zip(support, gammas)) if supp != gamma]
+            misfits = _least_rank(index, support)[3]
         if sum(_touching(masks[i].bit_count(), n) for i in misfits) <= _LOCAL_PAIRS:
             touched: set[tuple[int, int]] = set()
             for s in misfits:

@@ -69,13 +69,18 @@ def _emit(args: argparse.Namespace, obj: Any, *, kind: str | None = None) -> Non
         sys.stdout.write(text)
 
 
-def _emit_error(args: argparse.Namespace, error: str, exc: LucekitError) -> int:
-    payload: dict[str, Any] = {"type": "error", "error": error, "message": str(exc)}
-    report = getattr(exc, "report", None)
-    if report is not None:
-        payload["report"] = encode_axiom_report(report)
+def _emit_error(args: argparse.Namespace, exc: LucekitError) -> int:
+    payload: dict[str, Any] = {"type": "error", "error": _error_slug(exc), "message": str(exc)}
+    if exc.report is not None:
+        payload["report"] = encode_axiom_report(exc.report)
     _emit(args, payload, kind="report")
     return 1
+
+
+def _error_slug(exc: LucekitError) -> str:
+    """The class name in kebab case without ``Error``: ``NotRationalError`` -> ``not-rational``."""
+    name = type(exc).__name__.removesuffix("Error")
+    return "".join("-" * (k > 0 and ch.isupper()) + ch.lower() for k, ch in enumerate(name))
 
 
 def _load_family(spec: str, universe: Universe) -> ChoiceFamily:
@@ -136,29 +141,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     rule = read_document(args.rule, kind="rule")
     report = check_choice_axiom(rule)
     if not report.holds:
-        return _emit_error(
-            args,
-            "choice-axiom",
-            ChoiceAxiomError("rule fails the choice axiom", report=report),
-        )
+        return _emit_error(args, ChoiceAxiomError("rule fails the choice axiom", report=report))
     try:
         dec = run_decompose(rule)
     except LucekitError as exc:
-        return _emit_error(args, _error_slug(exc), exc)
+        return _emit_error(args, exc)
     _emit(args, dec)
     return 0
-
-
-def _error_slug(exc: LucekitError) -> str:
-    slug = type(exc).__name__
-    if slug.endswith("Error"):
-        slug = slug[: -len("Error")]
-    out = []
-    for ch in slug:
-        if ch.isupper() and out:
-            out.append("-")
-        out.append(ch.lower())
-    return "".join(out)
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> int:
@@ -175,7 +164,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             family = _load_family(args.family, weights.universe)
             rule = luce_rule(weights, family)
     except NotRationalError as exc:
-        return _emit_error(args, "not-rational", exc)
+        return _emit_error(args, exc)
     except ValueError as exc:  # weights, selection and family disagree
         raise DocumentError(str(exc)) from exc
     if args.mode == FLOAT and rule.mode == EXACT:

@@ -191,6 +191,14 @@ class ChoiceFamily:
         )
 
 
+def _fold_ascending(values, total=0):
+    """Σ of ``values`` added left to right onto ``total``, alike on every Python: the
+    one label-order fold (builtin ``sum`` compensates float sums from 3.12 on)."""
+    for value in values:
+        total = total + value
+    return total
+
+
 def _over_lcm(values: Collection[Fraction]) -> tuple[int, list[int]]:
     """(D, N): ``values`` as integer numerators N over D, the lcm of their denominators."""
     den = math.lcm(*(x.denominator for x in values))
@@ -312,13 +320,14 @@ class RandomChoiceRule:
 
     def p(self, a: str, A: ChoiceSet) -> Value:
         """Probability of choosing ``a`` from ``A`` (zero off ``A``)."""
-        return self.row(A).get(a, self.zero)
+        row = self.row(A)
+        return row[a] if a in row else self.zero
 
     def p_set(self, B: Iterable[str], A: ChoiceSet) -> Value:
         """Probability that the choice from ``A`` lands in ``B``."""
         row = self.row(A)
         members = B.members if isinstance(B, ChoiceSet) else B
-        return sum((row[b] for b in members if b in row), self.zero)
+        return _fold_ascending((row[b] for b in members if b in row), self.zero)
 
     def support(self, A: ChoiceSet) -> ChoiceSet:
         row = self.row(A)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .axioms import _RuleView, check_warp
+from .axioms import _RuleView, _split_pairs, _warp_report
 from .core import (
     EXACT,
     ChoiceCorrespondence,
@@ -27,7 +27,6 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
-    support_correspondence,
 )
 from .errors import (
     DegenerateOddsError,
@@ -71,10 +70,11 @@ def revealed_order(rule: RandomChoiceRule) -> WeakOrder:
     contraction-consistency check (WARP), and when the family holds every
     pair a WARP support is the set of maximizers of the relation its pairs
     reveal (Arrow 1959). So the test fails exactly when the support violates
-    WARP or the binary supports are not transitive. Only then does
-    ``check_warp`` run, to attach its report to the refusal. A WARP support
-    can only disagree on a pair, and pairs come first in family order, so
-    the first mismatch found is that pair.
+    WARP or the binary supports are not transitive. Only then is the
+    support's WARP report built, on the view's own nested pairs and support
+    masks, to attach to the refusal. A WARP support can only disagree on a
+    pair, and pairs come first in family order, so the first mismatch found
+    is that pair.
     """
     return _revealed(rule)[1]
 
@@ -87,7 +87,8 @@ def _revealed(rule: RandomChoiceRule) -> tuple[_RuleView, WeakOrder, list[int], 
     ranks, gammas, v, misfits = view.luce_fit()
     misfit = misfits[0] if misfits else None
     if misfit is not None and misfit[1] is None:  # a support that is not Γ
-        warp = check_warp(support_correspondence(rule))
+        support = view.support_masks(0 if view.exact else view.eps)
+        warp = _warp_report(view.pairs, _split_pairs(view.pairs, support))
         if not warp.holds:
             raise NotRationalError(
                 "support correspondence violates contraction consistency", report=warp

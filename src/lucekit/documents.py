@@ -173,7 +173,7 @@ def _rule_payload(rule: RandomChoiceRule) -> dict:
         "table": [
             {
                 "set": list(A.members),
-                "p": {a: _encode_value(rule.p(a, A)) for a in A},
+                "p": {a: _encode_value(x) for a, x in rule.row(A).items()},
             }
             for A in rule.family
         ],

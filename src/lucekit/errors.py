@@ -1,8 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error carries in ``report`` the axiom report behind it, if any (given by
+keyword, None by default); the CLI's exit-1 error documents write it out.
+"""
 
 
 class LucekitError(Exception):
     """Base class for all package-specific errors."""
+
+    def __init__(self, *args, report=None):
+        super().__init__(*args)
+        self.report = report
 
 
 class UnknownChoiceSetError(LucekitError):
@@ -20,24 +28,16 @@ class FamilySizeError(LucekitError):
 class NotRationalError(LucekitError):
     """A correspondence (given or revealed) fails the weak axiom.
 
-    Carries the failing report (or a description of the intransitive
-    pairwise relation) in ``report``.
+    ``report`` holds the failing WARP report; it is None when the support
+    holds WARP but its pairs rank no weak order (the message names the set).
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class ChoiceAxiomError(LucekitError):
     """A rule required to satisfy the choice axiom does not.
 
-    ``report`` holds the axiom report with the blocking witnesses.
+    ``report`` holds the choice-axiom report with the blocking witnesses.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class MissingPairsError(LucekitError):

@@ -146,7 +146,7 @@ def general_luce_rule(gamma: ChoiceCorrespondence, weights: LuceWeights) -> Rand
         raise ValueError("weights and correspondence must share a universe")
     pairs = _NestedPairs(gamma.family)
     chosen = [pairs.mask(gamma.gamma(A).members) for A in pairs.sets]
-    if not (gamma.family.contains_all_pairs() and _least_rank(pairs, chosen)[2] == chosen):
+    if not (gamma.family.contains_all_pairs() and not _least_rank(pairs, chosen)[3]):
         report = check_warp(gamma)
         if not report.holds:
             raise NotRationalError(

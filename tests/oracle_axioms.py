@@ -21,6 +21,7 @@ from lucekit.core import (
     ExtendedRatio,
     RandomChoiceRule,
     Value,
+    _fold_ascending,
     support_correspondence,
 )
 from lucekit.errors import FamilySizeError
@@ -83,7 +84,7 @@ class _RuleView:
     def mass(self, i: int, mask: int) -> Value:
         """Numerator mass the row ``i`` assigns to the alternatives in ``mask``."""
         num = self.nums[i]
-        return sum(num[j] for j in _iter_bits(mask))
+        return _fold_ascending(num[j] for j in _iter_bits(mask))
 
     def subset_sums(self, i: int) -> dict[int, Value]:
         """Numerator masses of every submask of set ``i``, built once per set."""

@@ -200,6 +200,32 @@ class TestDecompose:
         assert (w["lhs"], w["rhs"]) == ("1/2", "2/5")
 
 
+    @pytest.mark.parametrize("rows, error, message", [
+        (
+            {"ab": {"a": "1/2", "b": "1/2"}, "cd": {"c": "1/2", "d": "1/2"}},
+            "missing-pairs",
+            "revealed order needs every pair in the family",
+        ),
+        (
+            {"ab": {"a": "1", "b": "0"}, "bc": {"b": "1", "c": "0"}, "ac": {"a": "0", "c": "1"}},
+            "not-rational",
+            "binary supports are not consistent with any weak order (first mismatch at {a,b})",
+        ),
+    ])
+    def test_refusal_after_the_choice_axiom_holds(self, tmp_path, capsys, rows, error, message):
+        path = tmp_path / "rule.json"
+        universe = sorted(set("".join(rows)))
+        table = [{"set": list(members), "p": p} for members, p in rows.items()]
+        path.write_text(dumps_document(
+            from_document({"kind": "rule", "version": "1", "payload": {
+                "universe": universe, "mode": "exact", "table": table,
+            }})
+        ))
+        code, out, err = run(["decompose", path], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["payload"] == {"type": "error", "error": error, "message": message}
+
+
 class TestSynthesize:
     def test_from_utility_argmax(self, work, capsys):
         out_path = work["dir"] / "via_util.json"

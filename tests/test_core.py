@@ -28,6 +28,8 @@ from lucekit import (
     utility_from_order,
 )
 
+from lucekit import axioms
+
 import helpers
 
 
@@ -231,6 +233,35 @@ class TestRandomChoiceRule:
         table = {ChoiceSet("ab"): {"a": 0.5, "b": 0.5}}
         with pytest.raises(ValueError):
             RandomChoiceRule(fam, table, mode=FLOAT, eps=0.5)
+
+    def test_float_cells_of_other_number_types_are_stored_as_floats(self):
+        import numpy as np
+
+        u = Universe("abc")
+        fam = ChoiceFamily(u, [ChoiceSet("ab"), ChoiceSet("abc")])
+        table = {
+            ChoiceSet("ab"): {"a": 1, "b": 0},
+            ChoiceSet("abc"): {"a": Fraction(1, 2), "b": np.float64(0.25), "c": 0.25},
+        }
+        rule = RandomChoiceRule(fam, table, mode=FLOAT)
+        assert rule.table == {
+            ChoiceSet("ab"): {"a": 1.0, "b": 0.0},
+            ChoiceSet("abc"): {"a": 0.5, "b": 0.25, "c": 0.25},
+        }
+        assert {type(x) for row in rule.table.values() for x in row.values()} == {float}
+
+    def test_p_set_folds_floats_left_to_right(self):
+        # Ten cells of 0.1 add up to 0.9999999999999999 left to right; a
+        # compensated sum (builtin sum from Python 3.12 on) gives 1.0.
+        u = Universe([f"a{j}" for j in range(10)])
+        A = ChoiceSet(u.alternatives)
+        rule = RandomChoiceRule(ChoiceFamily(u, [A]), {A: dict.fromkeys(A, 0.1)}, mode=FLOAT)
+        folded = 0.0
+        for _ in range(10):
+            folded += 0.1
+        assert folded == 0.9999999999999999
+        assert rule.p_set(A, A).hex() == folded.hex()
+        assert axioms._RuleView(rule).p_set(0, (1 << 10) - 1).hex() == folded.hex()
 
     def test_lookups_and_support(self):
         rule = _uniform_rule(3)

@@ -21,6 +21,7 @@ from lucekit import (
     ReconstructionMismatchError,
     Universe,
     WeakOrder,
+    check_warp,
     correspondence_from_order,
     decompose,
     general_luce_rule,
@@ -46,6 +47,24 @@ def _worked_example():
     gamma = correspondence_from_order(order, ChoiceFamily.of_all_subsets(u))
     w = LuceWeights.from_v(u, {"a": Fraction(1), "b": Fraction(1, 2), "c": Fraction(1)})
     return general_luce_rule(gamma, w), order
+
+
+def starved_triple_rule() -> RandomChoiceRule:
+    """Pairs say a ~ b ~ c, but the triple starves c: the support fails WARP."""
+    u = Universe("abc")
+    half = Fraction(1, 2)
+    return RandomChoiceRule(
+        ChoiceFamily.of_all_subsets(u),
+        {
+            ChoiceSet("a"): {"a": 1},
+            ChoiceSet("b"): {"b": 1},
+            ChoiceSet("c"): {"c": 1},
+            ChoiceSet("ab"): {"a": half, "b": half},
+            ChoiceSet("ac"): {"a": half, "c": half},
+            ChoiceSet("bc"): {"b": half, "c": half},
+            ChoiceSet("abc"): {"a": half, "b": half, "c": 0},
+        },
+    )
 
 
 def cyclic_rule() -> RandomChoiceRule:
@@ -117,44 +136,58 @@ class TestRoundTrips:
         assert rebuilt.table == rule.table
 
     def test_warp_is_checked_once(self, monkeypatch):
-        # The package re-exports the function decompose under the module's name.
-        decompose_module = sys.modules["lucekit.decompose"]
-        synthesize_module = sys.modules["lucekit.synthesize"]
+        axioms = sys.modules["lucekit.axioms"]
         rule = helpers.random_synthesized_rule(5, random.Random(3))
-        calls = []
-        real = decompose_module.check_warp
-
-        def counting(corr):
-            calls.append(corr)
-            return real(corr)
-
-        monkeypatch.setattr(decompose_module, "check_warp", counting)
-        monkeypatch.setattr(synthesize_module, "check_warp", counting)
+        walks, scans = [], []
+        real_walk = axioms._walk_pairs
+        monkeypatch.setattr(
+            axioms, "_walk_pairs", lambda *args, **kw: walks.append(args) or real_walk(*args, **kw)
+        )
+        monkeypatch.setattr(
+            sys.modules["lucekit.synthesize"], "check_warp",
+            lambda corr: scans.append(corr) or check_warp(corr),
+        )
+        for subject in (rule, rule.as_float()):
+            decompose(subject)
+        assert walks == []  # an accepted rule walks no nested pair, in either mode
         dec = decompose(rule)
-        assert calls == []  # an accepted rule needs no WARP scan
         assert general_luce_rule(dec.gamma, LuceWeights.from_v(rule.universe, dec.v)) == rule
         # Γ is the maximizers of the order its pairs reveal, so the build skips the scan too.
-        assert calls == []
+        assert scans == [] and walks == []
 
     def test_support_correspondence_is_built_once(self, monkeypatch):
+        # One nested-pair index per call, also on a refusal: the refusal's WARP
+        # report comes off the rule view's own index and support masks, and
+        # encodes as the report of the rule's support correspondence.
+        axioms = sys.modules["lucekit.axioms"]
         decompose_module = sys.modules["lucekit.decompose"]
-        rule = helpers.random_synthesized_rule(5, random.Random(4))
-        calls = []
-        real = decompose_module.support_correspondence
+        assert not hasattr(decompose_module, "support_correspondence")
+        assert not hasattr(decompose_module, "check_warp")
+        built = []
+        real_init = axioms._NestedPairs.__init__
 
-        def counting(r):
-            calls.append(r)
-            return real(r)
+        def counting(self, family):
+            built.append(family)
+            real_init(self, family)
 
-        monkeypatch.setattr(decompose_module, "support_correspondence", counting)
-        dec = decompose(rule)
-        assert calls == []  # Γ is the revealed order's maximizers
-        assert dec.gamma == real(rule)
-        # revealed_order builds it only to report a refusal.
-        assert revealed_order(rule) == dec.order and calls == []
-        with pytest.raises(NotRationalError):
-            revealed_order(cyclic_rule())
-        assert len(calls) == 1
+        monkeypatch.setattr(axioms._NestedPairs, "__init__", counting)
+        accepted = helpers.random_synthesized_rule(5, random.Random(4))
+        for rule in (accepted, cyclic_rule(), starved_triple_rule()):
+            for subject in (rule, rule.as_float()):
+                want = check_warp(support_correspondence(subject))
+                for fn in (revealed_order, decompose):
+                    built.clear()
+                    try:
+                        fn(subject)
+                        refusal = None
+                    except NotRationalError as exc:
+                        refusal = exc
+                    assert len(built) == 1
+                    assert (refusal is None) == (rule is accepted)
+                    if refusal is not None and want.holds:  # the pairs rank no weak order
+                        assert refusal.report is None
+                    elif refusal is not None:
+                        assert encode_axiom_report(refusal.report) == encode_axiom_report(want)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_maximizers_are_computed_once_per_set(self, monkeypatch, n):
@@ -242,24 +275,8 @@ class TestRefusals:
             revealed_order(cyclic_rule())
 
     def test_non_warp_support_is_refused_with_report(self):
-        u = Universe("abc")
-        fam = ChoiceFamily.of_all_subsets(u)
-        # Pairs say a ~ b ~ c, but the triple starves c.
-        third = Fraction(1, 3)
-        rule = RandomChoiceRule(
-            fam,
-            {
-                ChoiceSet("a"): {"a": 1},
-                ChoiceSet("b"): {"b": 1},
-                ChoiceSet("c"): {"c": 1},
-                ChoiceSet("ab"): {"a": Fraction(1, 2), "b": Fraction(1, 2)},
-                ChoiceSet("ac"): {"a": Fraction(1, 2), "c": Fraction(1, 2)},
-                ChoiceSet("bc"): {"b": Fraction(1, 2), "c": Fraction(1, 2)},
-                ChoiceSet("abc"): {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": 0},
-            },
-        )
         with pytest.raises(NotRationalError) as err:
-            decompose(rule)
+            decompose(starved_triple_rule())
         assert err.value.report is not None
 
     def test_missing_pairs_detected(self):
@@ -274,6 +291,19 @@ class TestRefusals:
         )
         with pytest.raises(MissingPairsError):
             revealed_order(rule)
+
+    def test_recover_v_needs_every_class_pair(self):
+        u = Universe("abc")
+        rule = RandomChoiceRule(
+            ChoiceFamily(u, [ChoiceSet("ab"), ChoiceSet("abc")]),
+            {
+                ChoiceSet("ab"): {"a": Fraction(1, 2), "b": Fraction(1, 2)},
+                ChoiceSet("abc"): {a: Fraction(1, 3) for a in "abc"},
+            },
+        )
+        with pytest.raises(MissingPairsError) as err:
+            recover_v(rule, WeakOrder.trivial(u))
+        assert str(err.value) == "family lacks the pair {a,c}"
 
     def test_degenerate_odds_on_a_lying_order(self):
         u = Universe("ab")

@@ -16,11 +16,13 @@ from lucekit import (
     ChoiceFamily,
     ChoiceSet,
     DocumentError,
+    ExtendedRatio,
     LuceWeights,
     RandomChoiceRule,
     Universe,
     WeakOrder,
     check_all,
+    check_odds_independence,
     correspondence_from_order,
     decompose,
     dumps_document,
@@ -143,6 +145,31 @@ class TestReports:
             enc = encode_axiom_report(rep)
             dec = decode_axiom_report(enc)
             assert dec == rep, name
+
+    def test_odds_witnesses_round_trip_every_ratio_kind(self):
+        u = Universe("abc")
+        rule = RandomChoiceRule(
+            ChoiceFamily(u, [ChoiceSet("ab"), ChoiceSet("abc")]),
+            {
+                ChoiceSet("ab"): {"a": 1, "b": 0},
+                ChoiceSet("abc"): {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": 0},
+            },
+        )
+        report = check_odds_independence(rule)
+        (witness,) = report.witnesses
+        assert witness.lhs == ExtendedRatio(ExtendedRatio.INFINITE)
+        assert witness.rhs == ExtendedRatio(ExtendedRatio.FINITE, Fraction(1))
+        indeterminate = dataclasses.replace(
+            report, witnesses=(dataclasses.replace(witness, rhs=ExtendedRatio(ExtendedRatio.INDETERMINATE)),)
+        )
+        for rep in (report, indeterminate):
+            assert decode_axiom_report(encode_axiom_report(rep)) == rep
+        raw = encode_axiom_report(indeterminate)
+        assert raw["witnesses"][0]["rhs"] == {"ratio": "indeterminate"}
+        raw["witnesses"][0]["lhs"] = {"ratio": "huge"}
+        with pytest.raises(DocumentError) as exc:
+            decode_axiom_report(raw)
+        assert str(exc.value) == "bad ratio tag {'ratio': 'huge'}"
 
     def test_fit_report_round_trip(self):
         u = Universe("ab")

@@ -143,6 +143,24 @@ class TestLexCompose:
         assert lex_compose(first, second) == first
 
 
+class TestUniverseMismatch:
+    def test_lex_sampler(self):
+        with pytest.raises(ValueError) as err:
+            LexSampler(WeakOrder.trivial(Universe("ab")), GumbelLuceSampler(_abc_weights(), seed=0))
+        assert str(err.value) == "order and base sampler must share a universe"
+
+    def test_lex_compose(self):
+        with pytest.raises(ValueError) as err:
+            lex_compose(WeakOrder.trivial(Universe("ab")), WeakOrder.trivial(Universe("abc")))
+        assert str(err.value) == "orders must share a universe"
+
+    def test_empirical_rule(self):
+        sampler = GumbelLuceSampler(_abc_weights(), seed=0)
+        with pytest.raises(ValueError) as err:
+            empirical_rule(sampler, ChoiceFamily.of_all_subsets(Universe("ab")), 10)
+        assert str(err.value) == "sampler and family must share a universe"
+
+
 class TestEmpiricalRule:
     def test_counts_sum_to_draws(self):
         w = _abc_weights()

@@ -110,6 +110,30 @@ class TestLuceRule:
             luce_rule(w, ChoiceFamily.of_all_subsets(Universe("abc")))
 
 
+class TestRefusalTexts:
+    def test_alpha_must_cover_the_universe(self):
+        with pytest.raises(ValueError) as err:
+            LuceWeights.from_alpha(Universe("abc"), {"a": 0.0, "b": 0.0})
+        assert str(err.value) == "alpha must cover exactly the universe"
+
+    def test_utility_must_be_finite(self):
+        u = Universe("ab")
+        family = ChoiceFamily.of_all_subsets(u)
+        with pytest.raises(ValueError) as err:
+            general_luce_rule_from_utility({"a": math.inf, "b": 0.0}, LuceWeights.uniform(u), family)
+        assert str(err.value) == "utility for 'a' must be finite, got inf"
+
+    @pytest.mark.parametrize("build", [
+        lambda u, w, family: general_luce_rule_from_utility(u, w, family),
+        lambda u, w, family: lambda_smoothed_rule(u, w, 0.5, family),
+    ])
+    def test_weights_and_family_share_a_universe(self, build):
+        family = ChoiceFamily.of_all_subsets(Universe("abc"))
+        with pytest.raises(ValueError) as err:
+            build({"a": 1.0, "b": 0.0}, LuceWeights.uniform(Universe("ab")), family)
+        assert str(err.value) == "weights and family must share a universe"
+
+
 class TestGeneralLuceRule:
     def test_softmax_on_gamma_zero_off(self):
         u = Universe("abc")
