@@ -18,10 +18,12 @@ from lucekit import (
     ChoiceFamily,
     ChoiceSet,
     DocumentError,
+    LucekitError,
     LuceWeights,
     RandomChoiceRule,
     Universe,
     WeakOrder,
+    check_choice_axiom,
     correspondence_from_order,
     dumps_document,
     from_document,
@@ -29,7 +31,8 @@ from lucekit import (
     loads_document,
     write_document,
 )
-from lucekit.cli import main
+from lucekit import errors
+from lucekit.cli import _error_slug, main
 
 import helpers
 from test_axioms import bad_rule
@@ -199,28 +202,23 @@ class TestDecompose:
         assert w["sets"] == [["a", "b"], ["a", "b", "c"]]
         assert (w["lhs"], w["rhs"]) == ("1/2", "2/5")
 
-
-    @pytest.mark.parametrize("rows, error, message", [
+    @pytest.mark.parametrize("table, error, message", [
         (
-            {"ab": {"a": "1/2", "b": "1/2"}, "cd": {"c": "1/2", "d": "1/2"}},
+            {"ab": {"a": 1, "b": 0}, "cd": {"c": 1, "d": 0}},
             "missing-pairs",
             "revealed order needs every pair in the family",
         ),
         (
-            {"ab": {"a": "1", "b": "0"}, "bc": {"b": "1", "c": "0"}, "ac": {"a": "0", "c": "1"}},
+            {"ab": {"a": 1, "b": 0}, "bc": {"b": 1, "c": 0}, "ac": {"a": 0, "c": 1}},
             "not-rational",
             "binary supports are not consistent with any weak order (first mismatch at {a,b})",
         ),
     ])
-    def test_refusal_after_the_choice_axiom_holds(self, tmp_path, capsys, rows, error, message):
+    def test_refusal_after_the_choice_axiom_holds(self, tmp_path, capsys, table, error, message):
+        rows = {ChoiceSet(members): row for members, row in table.items()}
+        family = ChoiceFamily(Universe(sorted(set("".join(table)))), rows)
         path = tmp_path / "rule.json"
-        universe = sorted(set("".join(rows)))
-        table = [{"set": list(members), "p": p} for members, p in rows.items()]
-        path.write_text(dumps_document(
-            from_document({"kind": "rule", "version": "1", "payload": {
-                "universe": universe, "mode": "exact", "table": table,
-            }})
-        ))
+        write_document(str(path), RandomChoiceRule(family, rows))
         code, out, err = run(["decompose", path], capsys)
         assert (code, err) == (1, "")
         assert json.loads(out)["payload"] == {"type": "error", "error": error, "message": message}
@@ -644,6 +642,22 @@ REFUSALS = {
         "count for 'a' in {a,b} must be an integer",
     ),
 }
+
+
+class TestErrorDocuments:
+    def test_every_error_takes_its_report_by_keyword(self):
+        report = check_choice_axiom(bad_rule())
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, LucekitError)]
+        assert len(classes) == 11
+        for cls in classes:
+            bare, carrying = cls("refused"), cls("refused", report=report)
+            assert bare.report is None and carrying.report is report
+            assert bare.args == carrying.args == ("refused",)
+            assert str(bare) == str(carrying) == "refused"
+            assert "__init__" not in vars(cls) or cls is LucekitError
+        assert _error_slug(errors.NotRationalError("refused")) == "not-rational"
+        assert _error_slug(errors.CountsOffSupportError("refused")) == "counts-off-support"
 
 
 class TestRefusalTexts:

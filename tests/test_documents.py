@@ -159,9 +159,8 @@ class TestReports:
         (witness,) = report.witnesses
         assert witness.lhs == ExtendedRatio(ExtendedRatio.INFINITE)
         assert witness.rhs == ExtendedRatio(ExtendedRatio.FINITE, Fraction(1))
-        indeterminate = dataclasses.replace(
-            report, witnesses=(dataclasses.replace(witness, rhs=ExtendedRatio(ExtendedRatio.INDETERMINATE)),)
-        )
+        undefined = dataclasses.replace(witness, rhs=ExtendedRatio(ExtendedRatio.INDETERMINATE))
+        indeterminate = dataclasses.replace(report, witnesses=(undefined,))
         for rep in (report, indeterminate):
             assert decode_axiom_report(encode_axiom_report(rep)) == rep
         raw = encode_axiom_report(indeterminate)

@@ -124,7 +124,7 @@ class TestRefusalTexts:
         assert str(err.value) == "utility for 'a' must be finite, got inf"
 
     @pytest.mark.parametrize("build", [
-        lambda u, w, family: general_luce_rule_from_utility(u, w, family),
+        general_luce_rule_from_utility,
         lambda u, w, family: lambda_smoothed_rule(u, w, 0.5, family),
     ])
     def test_weights_and_family_share_a_universe(self, build):
