@@ -29,9 +29,10 @@ pair present such a Γ is the one :func:`_least_rank` reads off the pairs
 (Arrow 1959). Every instance count follows in closed form from |A| and
 |supp p_A|. A pair with neither set among the misfits M holds WARP, and has
 zero residuals when M are the Luce-fit misfits of :meth:`_RuleView.luce_fit`,
-so only the pairs touching each S ∈ M are walked, once. Without rows, M are
-the sets whose support is not Γ(A). Every pair is walked when v is
-undefined, when M touches over ``_LOCAL_PAIRS`` pairs, and on partial families.
+whatever v is, so only the pairs with a set in M are walked, once: all proper
+subsets of each A ∈ M, and the members of M inside each other A. That is never
+more than every pair, and lists no pairs. Without rows, M are the sets whose
+support is not Γ(A). Partial families walk every pair.
 
 Float mode compares every instance of the requested axioms in one numpy pass
 over chunks of pairs of one size |B|, with the scalar scan's operations in
@@ -47,8 +48,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, compress, groupby, islice, repeat
-from operator import itemgetter, lt
+from itertools import combinations, compress, islice, repeat
+from operator import lt
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Union
 
 from .core import (
@@ -185,13 +186,16 @@ class _NestedPairs:
         for k in range(1, n + 1):
             yield from map(sum, combinations(bits, k))
 
-    def subsets_of(self, iA: int) -> list[int]:
-        """Family indices of the proper subsets of set ``iA``, ascending."""
+    def subsets_of(self, iA: int, among: dict[int, int] | None = None) -> list[int]:
+        """Family indices of the proper subsets of set ``iA``, ascending: of all sets,
+        or of ``among`` (mask to index, ascending, all before ``iA``). Scans the
+        family, or ``among``, when 2^|A| exceeds its size, else walks A's submasks."""
         masks = self.masks
         mA = masks[iA]
-        if 1 << mA.bit_count() > len(masks):
-            return [iB for iB in range(iA) if masks[iB] & mA == masks[iB]]
-        index = self.index
+        index = self.index if among is None else among
+        if 1 << mA.bit_count() > len(index):
+            pool = range(iA) if among is None else index.values()
+            return [iB for iB in pool if masks[iB] & mA == masks[iB]]
         hits = []
         sub = (mA - 1) & mA
         while sub:
@@ -251,16 +255,6 @@ class _PairShares(NamedTuple):
 # chunk gathers at most _CHUNK cells p(j, A), _CHUNK // b pairs of one size
 # b, and set choice, with 2^b instances per pair, takes _CHUNK >> b at a time.
 _CHUNK = 1 << 14
-
-# Past this many nested pairs touching the misfit sets, the exact split walks
-# every pair instead. One misfit set S touches 2^|S| + 2^(n−|S|) − 3.
-_LOCAL_PAIRS = 1 << 17
-
-
-def _touching(k: int, n: int) -> int:
-    """Nested pairs of a complete n-family that hold a given k-set as B or as A."""
-    return (1 << k) + (1 << (n - k)) - 3
-
 
 def _complete_counts(masks: list[int], support: list[int]) -> tuple[_PairShares, int]:
     """The shares and WARP instances of a complete family with nonempty supports.
@@ -464,17 +458,17 @@ class _RuleView:
             self._supports[floor] = found
         return found
 
-    def luce_fit(self) -> tuple[list[int], list[int], list[Value] | None, list[tuple]]:
+    def luce_fit(self) -> tuple[list[int], list[int], list[Value], list[tuple]]:
         """How the rule fits ``general_luce_rule(Γ, v)``, Γ a weak order's maximizers.
 
         Needs every pair. Returns (ranks, Γ, v, misfits): ranks count the pairs
         that give an alternative no mass, Γ(A) is A's members of least rank (a
-        bitmask per set), v the binary odds against each rank's lowest index,
-        None when a pair it is read from has support other than Γ. Misfits
-        (indices) are (A, None) for each set whose support is not Γ(A), then,
-        with v, (A, j) for each other set's first cell of Γ(A) off the Luce
-        rule: N_A[j]·Σ_{Γ(A)} w = w_j·D_A (w the v over one lcm), or within eps
-        of v_j / Σ_{Γ(A)} v summed in label order.
+        bitmask per set), v the binary odds against each rank's lowest index (1
+        where that pair is a misfit: any v keeps the split sound, and ``decompose``
+        refuses on the pair first). Misfits (indices) are (A, None) for each set
+        whose support is not Γ(A), then (A, j) for each other set's first cell of
+        Γ(A) off the Luce rule: N_A[j]·Σ_{Γ(A)} w = w_j·D_A (w the v over one lcm),
+        or within eps of v_j / Σ_{Γ(A)} v summed in label order.
         """
         nums, n, index, exact, eps = self.nums, self.n, self.pairs.index, self.exact, self.eps
         support = self.support_masks(0 if exact else eps)
@@ -486,10 +480,9 @@ class _RuleView:
             r = (tier & -tier).bit_length() - 1  # the tier's lowest index
             for j in _iter_bits(tier & (tier - 1)):
                 pair = index[(1 << j) | (1 << r)]
-                if pair in off:
-                    return ranks, gammas, None, misfits
-                num = nums[pair]
-                v[j] = Fraction(num[j], num[r]) if exact else num[j] / num[r]
+                if pair not in off:
+                    num = nums[pair]
+                    v[j] = Fraction(num[j], num[r]) if exact else num[j] / num[r]
         w = _over_lcm(v)[1] if exact else v
         for i, (gamma, num, den) in enumerate(zip(gammas, nums, self.dens)):
             if i in off:
@@ -505,13 +498,12 @@ class _RuleView:
 
     def _split(self) -> "_Split":
         """The pair split, built on first use: float mode's array pass, or in exact
-        mode :func:`_split_pairs` around the Luce fit's misfits, if v is defined."""
+        mode :func:`_split_pairs` around the Luce fit's misfits."""
         if self._walked is None and not self.exact:
             self._walked = self._float_split()
         elif self._walked is None:
-            v, fit = self.luce_fit()[2:] if self.pairs.family.all_subsets else (None, [])
-            misfits = None if v is None else [i for i, _ in fit]
-            rows = self.dens, self.nums
+            fit = self.luce_fit()[3] if self.pairs.family.all_subsets else []
+            misfits, rows = [i for i, _ in fit], (self.dens, self.nums)
             self._walked = _split_pairs(self.pairs, self.support_masks(0), rows, misfits)
         return self._walked
 
@@ -623,27 +615,32 @@ class _Split(NamedTuple):
 def _walk_pairs(
     index: _NestedPairs,
     support: list[int],
-    pairs: Iterable[tuple[int, int]] | None = None,
     rows: tuple[list[Value], list[list[Value]]] | None = None,
+    misfits: Collection[int] | None = None,
 ) -> _Split:
-    """Walk ``pairs`` (B, A) in scan order, by default all, for WARP off ``support``;
-    given exact rows (D_A, N_A), also for the pairs with a nonzero residual and for
-    the shares, which only the full exact walk reads (None without rows).
-
-    The one Python scan of nested pairs; :func:`_split_pairs` is its one caller.
+    """Walk the nested pairs (B, A) in scan order, all or those with a set among
+    ``misfits`` (each misfit's proper subsets, each other set's misfits inside it),
+    for WARP off ``support``; given exact rows (D_A, N_A), also for the pairs with a
+    nonzero residual and, in a walk of every pair, for the shares (else None). The
+    one Python scan of nested pairs; :func:`_split_pairs` calls it.
     """
     masks = index.masks
-    if pairs is None:
-        groups = ((iA, index.subsets_of(iA)) for iA in range(len(masks)))
-    else:
-        groups = ((iA, [iB for iB, _ in run]) for iA, run in groupby(pairs, itemgetter(1)))
+    flagged = set(misfits or ())
+    seen: dict[int, int] = {}  # the misfits walked so far, mask to index, ascending
     dens, nums = rows or ([], [])
     bits = [list(_iter_bits(m)) for m in masks] if rows else []
     failing: list[tuple[int, int]] = []
     warp_failing: list[tuple[int, int]] = []
     per_size = [0] * (len(index.labels) + 1)
     supported = odds = warp_checked = 0
-    for iA, inner in groups:
+    for iA in range(0 if misfits is None else min(flagged, default=len(masks)), len(masks)):
+        if misfits is None:
+            inner = index.subsets_of(iA)
+        elif iA in flagged:
+            seen[masks[iA]] = iA
+            inner = index.subsets_of(iA)
+        else:
+            inner = index.subsets_of(iA, seen)
         support_A = support[iA]
         for iB in inner:
             cut = support_A & masks[iB]
@@ -654,6 +651,7 @@ def _walk_pairs(
                     if num_A[j] * den_B != num_B[j] * mass_AB:
                         failing.append((iB, iA))
                         break
+            if rows and misfits is None:
                 size = len(bits[iB])
                 per_size[size] += 1
                 supported += cut.bit_count()
@@ -662,7 +660,7 @@ def _walk_pairs(
                 warp_checked += 1
                 if support[iB] != cut:
                     warp_failing.append((iB, iA))
-    shares = _PairShares.from_sizes(per_size, supported, odds) if rows else None
+    shares = _PairShares.from_sizes(per_size, supported, odds) if rows and misfits is None else None
     return _Split(failing, shares, support, warp_checked, warp_failing)
 
 
@@ -670,34 +668,23 @@ def _split_pairs(
     index: _NestedPairs,
     support: list[int],
     rows: tuple[list[Value], list[list[Value]]] | None = None,
-    misfits: list[int] | None = None,
+    misfits: Collection[int] | None = None,
 ) -> _Split:
     """The split of the nested pairs: WARP off ``support`` and, given exact rows,
     the pairs with a nonzero residual and the shares.
 
-    On a complete family only the pairs (B, S) and (S, A) of each misfit S are
-    walked, once, in scan order, and the counts come in closed form
-    (:func:`_complete_counts`); see the module docstring. The misfits default
-    to the sets whose support is not Γ(A), enough for WARP but not for rows.
-    Rows without misfits (v undefined), partial families and misfits touching
-    over :data:`_LOCAL_PAIRS` pairs walk every pair.
+    On a complete family only the pairs with a misfit are walked, once, in scan
+    order, and the counts come in closed form (:func:`_complete_counts`); see
+    the module docstring. Rows need the Luce-fit misfits; without rows they
+    default to the sets whose support is not Γ(A). Partial families walk every pair.
     """
-    masks, n = index.masks, len(index.labels)
-    if index.family.all_subsets and (rows is None or misfits is not None):
-        if misfits is None:
-            misfits = _least_rank(index, support)[3]
-        if sum(_touching(masks[i].bit_count(), n) for i in misfits) <= _LOCAL_PAIRS:
-            touched: set[tuple[int, int]] = set()
-            for s in misfits:
-                touched.update((iB, s) for iB in index.subsets_of(s))
-                sup = rest = ((1 << n) - 1) & ~masks[s]
-                while sup:
-                    touched.add((s, index.index[masks[s] | sup]))
-                    sup = (sup - 1) & rest
-            walked = _walk_pairs(index, support, sorted(touched, key=itemgetter(1, 0)), rows)
-            shares, warp_checked = _complete_counts(masks, support)
-            return walked._replace(shares=shares if rows else None, warp_checked=warp_checked)
-    return _walk_pairs(index, support, rows=rows)
+    if not index.family.all_subsets:
+        return _walk_pairs(index, support, rows)
+    if misfits is None:
+        misfits = _least_rank(index, support)[3]
+    walked = _walk_pairs(index, support, rows, misfits)
+    shares, warp_checked = _complete_counts(index.masks, support)
+    return walked._replace(shares=shares if rows else None, warp_checked=warp_checked)
 
 
 class _Collector:

@@ -165,8 +165,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             rule = luce_rule(weights, family)
     except NotRationalError as exc:
         return _emit_error(args, exc)
-    except ValueError as exc:  # weights, selection and family disagree
-        raise DocumentError(str(exc)) from exc
     if args.mode == FLOAT and rule.mode == EXACT:
         rule = rule.as_float()
     _emit(args, rule)
@@ -187,16 +185,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if not args.utility:
             raise DocumentError(f"--sampler {args.sampler} needs --utility")
         u = read_document(args.utility, kind="utility")
-    try:
-        if args.sampler == "gumbel":
-            sampler = GumbelLuceSampler(weights, seed=args.seed)
-        elif args.sampler == "independent":
-            sampler = IndependentRumSampler(u, weights, seed=args.seed)
-        else:
-            order = WeakOrder.from_utility(universe, u)
-            sampler = LexSampler(order, GumbelLuceSampler(weights, seed=args.seed))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    if args.sampler == "gumbel":
+        sampler = GumbelLuceSampler(weights, seed=args.seed)
+    elif args.sampler == "independent":
+        sampler = IndependentRumSampler(u, weights, seed=args.seed)
+    else:
+        order = WeakOrder.from_utility(universe, u)
+        sampler = LexSampler(order, GumbelLuceSampler(weights, seed=args.seed))
     family = _load_family(args.family, universe)
     emp = empirical_rule(sampler, family, args.draws)
     _emit(args, ChoiceDataset(universe, emp.counts))
@@ -207,10 +202,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     from .estimate import fit as run_fit
 
     data = read_document(args.dataset, kind="dataset")
-    try:
-        result = run_fit(data, pseudo_count=args.pseudo_count)
-    except ValueError as exc:  # a pseudo-count or counts past the float range
-        raise DocumentError(str(exc)) from exc
+    result = run_fit(data, pseudo_count=args.pseudo_count)
     _emit(args, result)
     return 0 if result.alpha_hat is not None else 1
 
@@ -223,10 +215,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DocumentError(f"bad --schedule: {exc}") from exc
     family = _load_family(args.family, weights.universe)
-    try:
-        report = limit_check(u, weights, schedule, family, tolerance=args.tolerance)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    report = limit_check(u, weights, schedule, family, tolerance=args.tolerance)
     _emit(args, report)
     return 0 if report.converged else 1
 
@@ -331,15 +320,12 @@ def main(argv: list[str] | None = None) -> int:
             if value == []:  # argparse reads "--draws=--" as no values at all
                 raise DocumentError(f"--{key.replace('_', '-')} needs a value")
         return args.func(args)
-    except (DocumentError, FamilySizeError) as exc:
+    except (DocumentError, FamilySizeError, OSError, ValueError) as exc:
         print(f"lucekit: {exc}", file=sys.stderr)
         return 2
     except LucekitError as exc:
         print(f"lucekit: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"lucekit: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ consistent pairwise cannot decompose silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -105,8 +106,9 @@ def recover_v(rule: RandomChoiceRule, order: WeakOrder) -> dict[str, Value]:
     representative (the lexicographically smallest member), v(rep) = 1.
 
     Ties in the order mean both binary probabilities are positive, so each
-    odds is finite and positive; anything else signals that the rule does
-    not have the product structure this recovery presumes.
+    odds is finite and positive unless a float quotient overflows or
+    underflows; anything else signals that the rule does not have the
+    product structure this recovery presumes.
     """
     one: Value = Fraction(1) if rule.mode == EXACT else 1.0
     v: dict[str, Value] = {}
@@ -118,13 +120,21 @@ def recover_v(rule: RandomChoiceRule, order: WeakOrder) -> dict[str, Value]:
             if P not in rule.family:
                 raise MissingPairsError(f"family lacks the pair {P}")
             num, den = rule.p(x, P), rule.p(rep, P)
-            if not (rule.is_positive(num) and rule.is_positive(den)):
-                raise DegenerateOddsError(
-                    f"odds of {x!r} against its class representative {rep!r} "
-                    f"is degenerate ({num}/{den}); the class structure is not real"
-                )
-            v[x] = num / den
+            positive = rule.is_positive(num) and rule.is_positive(den)
+            v[x] = _checked_odds(rule, x, rep, num / den if positive else 0)
     return v
+
+
+def _checked_odds(rule: RandomChoiceRule, x: str, rep: str, odds: Value) -> Value:
+    """``odds``, x's against its class representative ``rep``, unless it is zero
+    or infinite (as a float quotient of positive cells can be)."""
+    if not 0 < odds < math.inf:
+        P = ChoiceSet((x, rep))
+        raise DegenerateOddsError(
+            f"odds of {x!r} against its class representative {rep!r} "
+            f"is degenerate ({rule.p(x, P)}/{rule.p(rep, P)}); the class structure is not real"
+        )
+    return odds
 
 
 def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
@@ -142,7 +152,11 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
     """
     view, order, gammas, odds, misfit = _revealed(rule)
     v = dict(zip(view.labels, odds))
-    weights = LuceWeights(rule.universe, v)  # refuses infinite float odds
+    classes = order.classes()
+    for group in classes:
+        for x in group[1:]:
+            _checked_odds(rule, x, group[0], v[x])
+    weights = LuceWeights(rule.universe, v)
     gamma = {A: view.pairs.members(g) for A, g in zip(view.sets, gammas)}
     if misfit is not None:
         A, a = view.sets[misfit[0]], view.labels[misfit[1]]
@@ -150,7 +164,6 @@ def decompose(rule: RandomChoiceRule) -> LuceDecomposition:
         raise ReconstructionMismatchError(
             f"rebuilt rule disagrees at ({a!r}, {A}): {got} vs {rule.p(a, A)}"
         )
-    classes = order.classes()
     return LuceDecomposition(
         gamma=ChoiceCorrespondence(rule.family, gamma),
         order=order,

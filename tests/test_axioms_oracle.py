@@ -11,6 +11,7 @@ verdict, violation count, witnesses in the same order, and instance count.
 import json
 import random
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,7 @@ from lucekit import (
     ChoiceFamily,
     ChoiceSet,
     FamilySizeError,
+    LuceWeights,
     RandomChoiceRule,
     Universe,
     WITNESS_CAP,
@@ -407,8 +409,9 @@ class TestOneIndexPerRule:
             assert not ours[Axiom.CHOICE_AXIOM].holds
 
     def test_float_warp_alone_walks_each_set_once(self, monkeypatch, tmp_path, capsys):
-        # On a complete family only the sets whose support is not Γ(A) are
-        # walked; on a partial family every set is.
+        # On a complete family only the pairs with a set whose support is not
+        # Γ(A) are walked, once and in scan order; on a partial family every
+        # set is walked, once.
         rng = random.Random(12)
         complete = ChoiceFamily.of_all_subsets(helpers.universe_of(5))
         for family in (complete, partial_family(rng)):
@@ -418,14 +421,18 @@ class TestOneIndexPerRule:
             reference = oracle.check_all(rule)[Axiom.WARP]
             with monkeypatch.context() as m:
                 calls = count_walks(m)
+                visited = visit_pairs(m)
                 assert main(["check", str(path), "--axioms", "warp"]) == (0 if reference.holds else 1)
             assert capsys.readouterr().out == encoded([reference], rule)
+            pairs = [(iB, iA) for iA, A in enumerate(family.sets)
+                     for iB, B in enumerate(family.sets[:iA]) if set(B) < set(A)]
             if family is complete:
-                misfits = warp_misfits(support_correspondence(rule))
+                misfits = {family.sets.index(A) for A in warp_misfits(support_correspondence(rule))}
                 assert 0 < len(misfits) < len(family)
-                assert [family.sets[i] for i in calls] == misfits
+                assert visited == [(iB, iA) for iB, iA in pairs if iB in misfits or iA in misfits]
             else:
                 assert calls == list(range(len(family)))
+                assert visited == pairs
 
 
 class TestWarpMatchesOracle:
@@ -482,9 +489,9 @@ def count_walks(monkeypatch) -> list:
     calls = []
     real = axioms._NestedPairs.subsets_of
 
-    def counting(self, iA):
+    def counting(self, iA, *among):
         calls.append(iA)
-        return real(self, iA)
+        return real(self, iA, *among)
 
     monkeypatch.setattr(axioms._NestedPairs, "subsets_of", counting)
     return calls
@@ -498,25 +505,43 @@ def certificate(view):
     return None if misfits else gammas
 
 
+def every_set_a_misfit(monkeypatch) -> None:
+    """Make every split take each set as a misfit, so that it walks every pair."""
+    real = axioms._split_pairs
+    monkeypatch.setattr(axioms, "_split_pairs", lambda index, support, rows=None, misfits=None: (
+        real(index, support, rows, range(len(index.masks)))))
+
+
 def without_certificate(monkeypatch, rule) -> str:
-    """The report with the local split turned off, so that the full walk runs."""
+    """The report with every set passed as a misfit, so that the full walk runs."""
     with monkeypatch.context() as m:
-        m.setattr(axioms, "_LOCAL_PAIRS", -1)  # no set of misfits is under budget
+        every_set_a_misfit(m)
         return encoded(list(check_all(rule).values()))
 
 
 def full_walk(view):
-    """The exact split with every pair walked: rows without misfits."""
-    return axioms._split_pairs(view.pairs, view.support_masks(0), (view.dens, view.nums))
+    """The exact split with every pair walked, and its counts taken off the walk."""
+    return axioms._walk_pairs(view.pairs, view.support_masks(0), (view.dens, view.nums))
 
 
 def local_split(view):
-    """The exact split around the view's Luce-fit misfits; None when v is undefined."""
-    _, _, v, misfits = view.luce_fit()
-    if v is None:
-        return None
-    rows = view.dens, view.nums
-    return axioms._split_pairs(view.pairs, view.support_masks(0), rows, [i for i, _ in misfits])
+    """The exact split around the view's Luce-fit misfits."""
+    misfits = [i for i, _ in view.luce_fit()[3]]
+    return axioms._split_pairs(view.pairs, view.support_masks(0), (view.dens, view.nums), misfits)
+
+
+def visit_pairs(monkeypatch) -> list:
+    """Record every nested pair (B, A) that ``_NestedPairs.subsets_of`` hands the walk."""
+    visited = []
+    real = axioms._NestedPairs.subsets_of
+
+    def subsets_of(self, iA, *among):
+        hits = real(self, iA, *among)
+        visited.extend((iB, iA) for iB in hits)
+        return hits
+
+    monkeypatch.setattr(axioms._NestedPairs, "subsets_of", subsets_of)
+    return visited
 
 
 def warp_misfits(corr) -> list:
@@ -671,28 +696,28 @@ class TestLocalSplit:
         walks = []
         real = axioms._walk_pairs
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(axioms, "_walk_pairs", lambda index, support, pairs=None, rows=None: (
-                walks.append(pairs is None) or real(index, support, pairs, rows)))
+            m.setattr(axioms, "_walk_pairs", lambda index, support, rows=None, misfits=None: (
+                walks.append(misfits) or real(index, support, rows, misfits)))
             split = axioms._RuleView(rule)._split()
         # The failing pairs, the shares, the WARP count and its failing pairs.
-        assert (local or split) == full and split == full
-        # The view walks every pair exactly when v is undefined.
-        assert walks == [local is None]
-        assert (local is None) == (view.luce_fit()[2] is None)
+        assert local == full and split == full
+        # The view walks once, around its misfits, whatever v is.
+        assert len(walks) == 1 and walks[0] is not None
 
     @pytest.mark.parametrize("kind", ["shift", "nested", "pairs"])
-    def test_over_budget_falls_back_to_the_walk(self, monkeypatch, kind):
+    def test_every_set_a_misfit_is_the_full_walk(self, monkeypatch, kind):
         rng = random.Random(21)
         rule = edit_rows(holding_rule(6, 21, True), rng, kind, 2)
         reference = encoded(list(oracle.check_all(rule).values()))
-        monkeypatch.setattr(axioms, "_LOCAL_PAIRS", 0)
         calls = count_walks(monkeypatch)
         view = axioms._RuleView(rule)
-        assert local_split(view) == full_walk(view)
-        assert len(calls) == 2 * len(rule.family)  # both walk every set
+        every = range(len(view.masks))
+        split = axioms._split_pairs(view.pairs, view.support_masks(0), (view.dens, view.nums), every)
+        assert calls == list(every)  # each set walked once, in family order
+        assert split == full_walk(view)
         calls.clear()
-        assert encoded(list(check_all(rule).values())) == reference
-        assert len(calls) == len(rule.family)
+        assert without_certificate(monkeypatch, rule) == reference
+        assert calls == list(every)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reports_match_the_oracle(self, seed):
@@ -713,27 +738,59 @@ class TestLocalSplit:
         x, y = S.members[:2]
         table[S][x], table[S][y] = table[S][x] / 2, table[S][y] + table[S][x] / 2
         rule = RandomChoiceRule(base.family, table, mode="exact")
-        visited: set = set()
-        real_walk = getattr(axioms, "_walk_pairs", None)
-        real_subsets = axioms._NestedPairs.subsets_of
-
-        def walk_pairs(index, support, pairs=None, rows=None):
-            if pairs is not None:
-                pairs = list(pairs)
-                visited.update(pairs)
-            return real_walk(index, support, pairs, rows)
-
-        def subsets_of(self, iA):
-            hits = real_subsets(self, iA)
-            visited.update((iB, iA) for iB in hits)
-            return hits
-
-        monkeypatch.setattr(axioms, "_walk_pairs", walk_pairs, raising=False)
-        monkeypatch.setattr(axioms._NestedPairs, "subsets_of", subsets_of)
+        visited = visit_pairs(monkeypatch)
         ours = check_all(rule)
         assert 0 < len(visited) <= (1 << size) + (1 << (n - size))
+        assert len(set(visited)) == len(visited)  # each pair once
         assert not ours[Axiom.CHOICE_AXIOM].holds
         assert encoded(list(ours.values())) == without_certificate(monkeypatch, rule)
+
+
+    def test_a_cycle_in_one_class_walks_only_its_pairs(self, monkeypatch):
+        # Three pair rows of the worst class turn into a cycle (winner 1,
+        # loser 0). v can no longer be read off those pairs, yet only the pairs
+        # holding one of the four misfits are walked, not the 18,660 of n = 9.
+        n = 9
+        universe = Universe([f"a{i:02d}" for i in range(n)])
+        family = ChoiceFamily.of_all_subsets(universe)
+        labels = universe.alternatives
+        order = WeakOrder.from_classes(universe, [labels[3:], labels[:3]])
+        weights = LuceWeights.from_v(universe, {a: Fraction(i + 2) for i, a in enumerate(labels)})
+        table = {A: dict(row) for A, row in general_luce_rule(
+            correspondence_from_order(order, family), weights).table.items()}
+        for winner, loser in ((0, 1), (1, 2), (2, 0)):
+            table[ChoiceSet((labels[winner], labels[loser]))] = {labels[winner]: 1, labels[loser]: 0}
+        rule = RandomChoiceRule(family, table, mode="exact")
+        misfits = [ChoiceSet(labels[:2]), ChoiceSet(labels[0:3:2]), ChoiceSet(labels[1:3]),
+                   ChoiceSet(labels[:3])]
+        visited = visit_pairs(monkeypatch)
+        ours = check_all(rule)
+        assert 0 < len(visited) <= sum((1 << len(S)) + (1 << (n - len(S))) for S in misfits)
+        assert encoded(list(ours.values())) == encoded(list(oracle.check_all(rule).values()))
+        assert [family.sets[i] for i, _ in axioms._RuleView(rule).luce_fit()[3]] == misfits
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=10**6),
+           data=st.data())
+    def test_any_superset_of_the_misfits_splits_like_the_walk(self, n, seed, data):
+        # Random nonempty supports on some rows of a general Luce rule, and the
+        # Luce-fit misfits plus from none to every other set: few misfits scan
+        # their list, many walk each set's submasks.
+        rng = random.Random(seed)
+        rule = holding_rule(n, seed, rng.random() < 0.5)
+        table = {A: dict(rule.row(A)) for A in rule.family}
+        for A in rng.sample(rule.family.sets, rng.randint(0, len(rule.family))):
+            support = rng.sample(A.members, rng.randint(1, len(A)))
+            masses = {a: Fraction(rng.randint(1, 9)) if a in support else Fraction(0) for a in A}
+            table[A] = {a: m / sum(masses.values()) for a, m in masses.items()}
+        view = axioms._RuleView(RandomChoiceRule(rule.family, table, mode="exact"))
+        extra = data.draw(st.sets(st.integers(0, len(view.masks) - 1)))
+        misfits = sorted({i for i, _ in view.luce_fit()[3]} | extra)
+        rows = view.dens, view.nums
+        split = axioms._split_pairs(view.pairs, view.support_masks(0), rows, misfits)
+        walked = full_walk(view)
+        assert (split.failing, split.warp_failing, split.shares, split.warp_checked) == (
+            walked.failing, walked.warp_failing, walked.shares, walked.warp_checked)
 
 
 def family_of(kind: str, rng: random.Random) -> ChoiceFamily:
@@ -906,9 +963,9 @@ def count_pair_walks(monkeypatch) -> list:
     calls = []
     real = axioms._walk_pairs
 
-    def walk_pairs(index, support, pairs=None, rows=None):
+    def walk_pairs(index, support, rows=None, misfits=None):
         calls.append(rows is not None)
-        return real(index, support, pairs, rows)
+        return real(index, support, rows, misfits)
 
     monkeypatch.setattr(axioms, "_walk_pairs", walk_pairs)
     return calls

@@ -36,6 +36,7 @@ from lucekit.cli import _error_slug, main
 
 import helpers
 from test_axioms import bad_rule
+from test_decompose import denormal_pair_rule
 from test_documents import VALID, broken_document
 from test_estimate import OVERSIZED_COUNTS
 
@@ -222,6 +223,23 @@ class TestDecompose:
         code, out, err = run(["decompose", path], capsys)
         assert (code, err) == (1, "")
         assert json.loads(out)["payload"] == {"type": "error", "error": error, "message": message}
+
+    def test_float_odds_past_the_float_range_is_an_error_document(self, tmp_path, capsys):
+        path = tmp_path / "rule.json"
+        write_document(str(path), denormal_pair_rule())
+        code, out, err = run(["decompose", path], capsys)
+        assert (code, err) == (1, "")
+        payload = json.loads(out)["payload"]
+        assert (payload["type"], payload["error"]) == ("error", "degenerate-odds")
+        assert payload["message"].startswith("odds of 'b' against its class representative 'a'")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "lucekit.cli", "decompose", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert "Traceback" not in fresh.stderr
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (1, out, "")
 
 
 class TestSynthesize:
@@ -692,6 +710,19 @@ class TestEncodeErrors:
         assert not out_path.exists()
 
 
+class TestValueErrorBoundary:
+    # A ValueError from any callee of a command ends in main: exit 2, one line.
+    @pytest.mark.parametrize("command, callee", [
+        ("check", "_run_checkers"), ("decompose", "check_choice_axiom")])
+    def test_a_value_error_exits_two_with_one_line(self, work, capsys, monkeypatch, command, callee):
+        def refuse(*args, **kwargs):
+            raise ValueError("the callee refused its arguments")
+
+        monkeypatch.setattr(sys.modules["lucekit.cli"], callee, refuse)
+        code, out, err = run([command, work["bad_rule"]], capsys)
+        assert (code, out, err) == (2, "", "lucekit: the callee refused its arguments\n")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
@@ -810,3 +841,42 @@ class TestFlagProperty:
             assert code in (0, 1), (code, err)
             if code == 0:
                 loads_document(out)
+
+
+# Float cells and tolerances from the edges of the float range: denormals,
+# 1e-300 and ordinary values.
+_EDGE_FLOATS = st.sampled_from([0.0, 5e-324, 1e-320, 1e-318, 1e-310, 1e-300, 1e-9, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def _float_rule_documents(draw):
+    """A float rule document on every subset of 2-3 labels; each row's last cell
+    takes what the others leave of 1, so most rows are valid."""
+    labels = "abc"[:draw(st.integers(2, 3))]
+    table = []
+    for A in Universe(labels).subsets():
+        cells = [draw(_EDGE_FLOATS) for _ in A.members[1:]]
+        cells.insert(draw(st.integers(0, len(cells))), 1.0 - sum(cells))
+        table.append({"set": list(A.members), "p": dict(zip(A.members, cells))})
+    return {"kind": "rule", "version": "1", "payload": {
+        "eps": draw(st.sampled_from([5e-324, 1e-320, 1e-300, 1e-9, 1e-3])),
+        "mode": "float",
+        "table": table,
+        "universe": list(labels),
+    }}
+
+
+class TestFloatEdgeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=_float_rule_documents())
+    def test_denormal_cells_exit_cleanly(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("edge") / "rule.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "decompose"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            err = err.getvalue()
+            assert code in (0, 1, 2), (command, code, err)
+            if code == 2 or err:
+                assert err.startswith("lucekit: ") and err.count("\n") == 1, (command, err)

@@ -321,6 +321,26 @@ class TestRefusals:
             recover_v(rule, lying)
 
 
+    def test_float_odds_past_the_float_range(self):
+        # p(b, {a,b}) / p(a, {a,b}) = 1.0 / 1e-318 overflows; both ways to the
+        # weights refuse it by name, as they refuse zero odds.
+        rule = denormal_pair_rule()
+        message = ("odds of 'b' against its class representative 'a' is degenerate "
+                   "(1.0/1e-318); the class structure is not real")
+        with pytest.raises(DegenerateOddsError) as err:
+            decompose(rule)
+        assert str(err.value) == message
+        with pytest.raises(DegenerateOddsError) as err:
+            recover_v(rule, revealed_order(rule))
+        assert str(err.value) == message
+
+
+def denormal_pair_rule() -> RandomChoiceRule:
+    """A float rule on {a}, {b}, {a,b} whose pair row puts 1e-318 on a, above its eps."""
+    rows = {ChoiceSet("a"): {"a": 1.0}, ChoiceSet("b"): {"b": 1.0},
+            ChoiceSet("ab"): {"a": 1e-318, "b": 1.0}}
+    return RandomChoiceRule(ChoiceFamily.of_all_subsets(Universe("ab")), rows, mode=FLOAT, eps=1e-320)
+
 def random_support_row(rng: random.Random, A: ChoiceSet) -> dict:
     """Random positive rational masses on a random nonempty part of ``A``."""
     chosen = [a for a in A if rng.random() < 0.6] or [rng.choice(A.members)]
