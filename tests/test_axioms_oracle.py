@@ -745,7 +745,6 @@ class TestLocalSplit:
         assert not ours[Axiom.CHOICE_AXIOM].holds
         assert encoded(list(ours.values())) == without_certificate(monkeypatch, rule)
 
-
     def test_a_cycle_in_one_class_walks_only_its_pairs(self, monkeypatch):
         # Three pair rows of the worst class turn into a cycle (winner 1,
         # loser 0). v can no longer be read off those pairs, yet only the pairs
@@ -784,7 +783,8 @@ class TestLocalSplit:
             masses = {a: Fraction(rng.randint(1, 9)) if a in support else Fraction(0) for a in A}
             table[A] = {a: m / sum(masses.values()) for a, m in masses.items()}
         view = axioms._RuleView(RandomChoiceRule(rule.family, table, mode="exact"))
-        extra = data.draw(st.sets(st.integers(0, len(view.masks) - 1)))
+        every = set(range(len(view.masks)))
+        extra = data.draw(st.sets(st.sampled_from(sorted(every))) | st.just(every))
         misfits = sorted({i for i, _ in view.luce_fit()[3]} | extra)
         rows = view.dens, view.nums
         split = axioms._split_pairs(view.pairs, view.support_masks(0), rows, misfits)
