@@ -30,8 +30,9 @@ pair present such a Γ is the one :func:`_least_rank` reads off the pairs
 |supp p_A|. A pair with neither set among the misfits M holds WARP, and has
 zero residuals when M are the Luce-fit misfits of :meth:`_RuleView.luce_fit`,
 whatever v is, so only the pairs with a set in M are walked, once: all proper
-subsets of each A ∈ M, and the members of M inside each other A. That is never
-more than every pair, and lists no pairs. Without rows, M are the sets whose
+subsets of each A ∈ M, and the members of M inside each other A that holds
+one; a set that holds none is not visited. That is never more than every
+pair, and lists no pairs. Without rows, M are the sets whose
 support is not Γ(A). Partial families walk every pair.
 
 Float mode compares every instance of the requested axioms in one numpy pass
@@ -618,17 +619,20 @@ def _walk_pairs(
     rows: tuple[list[Value], list[list[Value]]] | None = None,
     misfits: Collection[int] | None = None,
 ) -> _Split:
-    """Walk the nested pairs (B, A) in scan order, all or those with a set among
-    ``misfits`` (each misfit's proper subsets, each other set's misfits inside it),
+    """Walk the nested pairs (B, A) in scan order, all or, on a complete family,
+    those with a set among ``misfits`` (each misfit's proper subsets, and the
+    misfits inside each other set that holds one; no other set is visited),
     for WARP off ``support``; given exact rows (D_A, N_A), also for the pairs with a
     nonzero residual and, in a walk of every pair, for the shares (else None). The
     one Python scan of nested pairs; :func:`_split_pairs` calls it.
     """
     masks = index.masks
+    full = (1 << len(index.labels)) - 1
     flagged = set(misfits or ())
     seen: dict[int, int] = {}  # the misfits walked so far, mask to index, ascending
+    holders: set[int] = set()  # the sets that hold a walked misfit
     dens, nums = rows or ([], [])
-    bits = [list(_iter_bits(m)) for m in masks] if rows else []
+    bits = [list(_iter_bits(m)) for m in masks] if rows and (misfits is None or flagged) else []
     failing: list[tuple[int, int]] = []
     warp_failing: list[tuple[int, int]] = []
     per_size = [0] * (len(index.labels) + 1)
@@ -637,10 +641,18 @@ def _walk_pairs(
         if misfits is None:
             inner = index.subsets_of(iA)
         elif iA in flagged:
-            seen[masks[iA]] = iA
+            mA = masks[iA]
+            seen[mA] = iA
+            if iA not in holders:  # else its supersets hold an earlier misfit already
+                rest = sub = full ^ mA
+                while sub:  # mark A's proper supersets, all in a complete family
+                    holders.add(index.index[mA | sub])
+                    sub = (sub - 1) & rest
             inner = index.subsets_of(iA)
-        else:
+        elif iA in holders:
             inner = index.subsets_of(iA, seen)
+        else:
+            continue
         support_A = support[iA]
         for iB in inner:
             cut = support_A & masks[iB]

@@ -1,7 +1,8 @@
 """Domain types for finite-universe stochastic choice.
 
 Everything here is immutable after construction and safe to share across
-threads. Exact rules carry :class:`fractions.Fraction` probabilities and all
+threads. Exact rules carry rational probabilities, kept as integer numerators
+over one denominator per set and read as :class:`fractions.Fraction`, and all
 identities on them are decided exactly; float rules carry an explicit
 comparison tolerance ``eps``. All iteration is in lexicographic label order
 so that derived reports and witnesses are reproducible.
@@ -9,11 +10,14 @@ so that derived reports and witnesses are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Mapping, Union
+from collections.abc import Collection, Iterable, Iterator, Mapping
+from typing import Union
 
 from .errors import FamilySizeError, SubsetViolationError, UnknownChoiceSetError
 
@@ -144,12 +148,13 @@ class ChoiceFamily:
         if not canon:
             raise ValueError("family must contain at least one choice set")
         for prev, cur in zip(canon, canon[1:]):
-            if prev == cur:
+            if prev.members == cur.members:
                 raise ValueError(f"duplicate choice set in family: {cur}")
+        labels = universe._index  # type: ignore[attr-defined]
         for cs in canon:
-            for a in cs:
-                if a not in universe:
-                    raise ValueError(f"{cs} contains {a!r}, not in the universe")
+            if not all(map(labels.__contains__, cs.members)):
+                a = next(a for a in cs.members if a not in labels)
+                raise ValueError(f"{cs} contains {a!r}, not in the universe")
         complete = len(canon) == 2 ** len(universe) - 1
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "sets", tuple(canon))
@@ -205,39 +210,66 @@ def _over_lcm(values: Collection[Fraction]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
-def _as_exact(value: object, a: str, cs: ChoiceSet) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise ValueError(
-        f"exact rules need Fraction or int probabilities, got {type(value).__name__} at ({a}, {cs})"
-    )
+def _as_exact(row: Mapping[str, object], cs: ChoiceSet) -> dict[str, tuple[int, int]]:
+    """An exact row's cells as {label: (numerator, denominator)}, checked in member order."""
+    for a in cs.members:
+        if not isinstance(x := row.get(a, 0), (Fraction, int)) or isinstance(x, bool):
+            raise ValueError(
+                f"exact rules need Fraction or int probabilities, got {type(x).__name__} at ({a}, {cs})"
+            )
+    return {a: (x.numerator, x.denominator) for a, x in row.items()}
 
 
-def _as_float(value: object, a: str, cs: ChoiceSet) -> float:
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"float cells must be numbers, got {type(value).__name__} at ({a}, {cs})")
-    return float(value)
+def _as_float(row: Mapping[str, object], cs: ChoiceSet) -> list[float]:
+    """A float row's cells, in member order."""
+    cells = list(map(row.get, cs.members, _FLOAT_ZEROS))
+    for a, x in zip(cs.members, cells):
+        if isinstance(x, (bool, str)):
+            raise ValueError(f"float cells must be numbers, got {type(x).__name__} at ({a}, {cs})")
+    return list(map(float, cells))
 
 
-@dataclass(frozen=True)
+def _cells(family: ChoiceFamily, value, dens: list, nums: list) -> dict[ChoiceSet, dict[str, Value]]:
+    """Each set's row as {label: value(N_A[label], D_A)}, in family and label order."""
+    position = family.universe._index  # type: ignore[attr-defined]
+    return {
+        A: {a: value(num[position[a]], den) for a in A.members}
+        for A, den, num in zip(family.sets, dens, nums)
+    }
+
+
+_MISSING = object()
+_FLOAT_ZEROS = itertools.repeat(0.0)
+_DENOMINATOR_OF_PAIR = operator.itemgetter(1)
+
+# A cell N / D as the table holds it: a Fraction, or the float N itself (D = 1.0).
+_CELL = {EXACT: Fraction, FLOAT: operator.truediv}
+
+
+@dataclass(frozen=True, init=False)
 class RandomChoiceRule:
     """A probability distribution over each set of a family.
 
-    The table stores one full row per family set (zeros included), keyed by
+    The table holds one full row per family set (zeros included), keyed by
     member label. ``mode`` is ``"exact"`` (Fraction arithmetic, identities
     decided exactly) or ``"float"`` (tolerance ``eps``; a value is treated as
     positive when it exceeds ``eps``).
 
-    Exact rows are checked and kept once, privately, as integers N_A (by
-    universe position) over one denominator D_A; float rows are kept over 1.0.
+    Rows are checked and kept only as N_A (by universe position) over D_A:
+    integer numerators over the least common denominator in exact mode, floats
+    over 1.0 in float mode. Every reader works on them; ``table`` is built
+    from them the first time it is read.
     """
 
     family: ChoiceFamily
     table: Mapping[ChoiceSet, Mapping[str, Value]]
     mode: str
     eps: float
+
+    @functools.cached_property
+    def table(self) -> dict[ChoiceSet, dict[str, Value]]:  # type: ignore[no-redef]
+        """{set: {label: Fraction, or float}}, built from the rows when first read."""
+        return _cells(self.family, _CELL[self.mode], self._dens, self._nums)  # type: ignore[attr-defined]
 
     def __init__(
         self,
@@ -246,57 +278,82 @@ class RandomChoiceRule:
         mode: str = EXACT,
         eps: float = DEFAULT_EPS,
     ) -> None:
+        self._set_rows(family, table, mode, eps, _as_exact if mode == EXACT else _as_float)
+
+    @classmethod
+    def _of_pairs(cls, family: ChoiceFamily, table: Mapping, eps: float) -> "RandomChoiceRule":
+        """An exact rule from cells given as {label: (numerator, denominator > 0)},
+        checked as the constructor checks Fraction cells, with the same errors."""
+        rule = cls.__new__(cls)
+        rule._set_rows(family, table, EXACT, eps, lambda row, cs: row)
+        return rule
+
+    def _set_rows(self, family, table, mode, eps, read) -> None:
+        """Check ``table`` row by row in family order, reading each row's cells with
+        ``read``, and keep it as rows: the one validation path of every rule."""
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
         check_eps(eps)
-        extra = set(table) - set(family.sets)
-        if extra:
+        rows = [table.get(cs, _MISSING) for cs in family.sets]
+        if len(table) + rows.count(_MISSING) > len(rows):  # a key outside the family
+            extra = set(table) - set(family.sets)
             raise ValueError(f"table rows for sets outside the family: {sorted(map(repr, extra))}")
         position = family.universe._index  # type: ignore[attr-defined]
-        canon: dict[ChoiceSet, dict[str, Value]] = {}
         dens: list[Value] = []  # D_A and N_A per set, in family order
         nums: list[list[Value]] = []
-        for cs in family:
-            if cs not in table:
+        for cs, row in zip(family.sets, rows):
+            if row is _MISSING:
                 raise ValueError(f"missing table row for {cs}")
-            row = table[cs]
-            unknown = set(row) - set(cs.members)
+            unknown = row.keys() - cs.members
             if unknown:
                 raise ValueError(f"mass assigned outside {cs}: {sorted(unknown)}")
+            num = [0 if mode == EXACT else 0.0] * len(position)
             if mode == EXACT:
-                vals = {a: _as_exact(row.get(a, 0), a, cs) for a in cs}
-                den, cells = _over_lcm(vals.values())
-                if any(x < 0 or x > den for x in cells):
-                    raise ValueError(f"probabilities outside [0, 1] on {cs}")
-                if sum(cells) != den:
-                    raise ValueError(f"masses on {cs} sum to {sum(vals.values())}, not 1")
+                cells = read(row, cs)
+                den = math.lcm(*map(_DENOMINATOR_OF_PAIR, cells.values()))
+                for a, (n, d) in cells.items():
+                    num[position[a]] = n * (den // d)
+                common = math.gcd(den, *num)  # > 1 only for unreduced cells
+                if common > 1:
+                    den //= common
+                    num = [x // common for x in num]
+                total = sum(num)
+                if not (total == den and min(num) >= 0):  # else no cell exceeds D_A either
+                    if min(num) < 0 or max(num) > den:
+                        raise ValueError(f"probabilities outside [0, 1] on {cs}")
+                    raise ValueError(f"masses on {cs} sum to {Fraction(total, den)}, not 1")
             else:
-                vals = {
-                    a: x if type(x := row.get(a, 0.0)) is float else _as_float(x, a, cs)
-                    for a in cs
-                }
-                for a, v in vals.items():
-                    if not math.isfinite(v):
-                        raise ValueError(f"non-finite probability {v!r} at ({a}, {cs})")
-                if any(v < -eps or v > 1.0 + eps for v in vals.values()):
+                cells = read(row, cs)
+                total = sum(cells)
+                if not math.isfinite(total):  # a non-finite cell, or finite ones too large
+                    for a, v in zip(cs.members, cells):
+                        if not math.isfinite(v):
+                            raise ValueError(f"non-finite probability {v!r} at ({a}, {cs})")
+                high = max(cells)
+                if min(cells) < -eps or high > 1.0 + eps:
                     raise ValueError(f"probabilities outside [0, 1] (eps={eps}) on {cs}")
-                if abs(sum(vals.values()) - 1.0) > eps * len(cs):
-                    raise ValueError(f"masses on {cs} sum to {sum(vals.values())}, not 1")
-                if not any(v > eps for v in vals.values()):
+                if abs(total - 1.0) > eps * len(cs):
+                    raise ValueError(f"masses on {cs} sum to {total}, not 1")
+                if not high > eps:
                     raise ValueError(f"empty support on {cs}")
-                den, cells = 1.0, vals.values()
-            num = [den * 0] * len(position)
-            for a, x in zip(vals, cells):
-                num[position[a]] = x
-            canon[cs] = vals
+                for a, v in zip(cs.members, cells):
+                    num[position[a]] = v
+                den = 1.0
             dens.append(den)
             nums.append(num)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "table", canon)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "_dens", dens)
         object.__setattr__(self, "_nums", nums)
+
+    def _row_of(self, A: ChoiceSet) -> tuple[list[Value], Value, Mapping[str, int]]:
+        """(N_A, D_A, the universe positions) of set ``A``."""
+        try:
+            i = self.family._pos[A]  # type: ignore[attr-defined]
+        except KeyError:
+            raise UnknownChoiceSetError(f"{A} is not in the rule's family") from None
+        return self._nums[i], self._dens[i], self.universe._index  # type: ignore[attr-defined]
 
     @property
     def universe(self) -> Universe:
@@ -313,35 +370,34 @@ class RandomChoiceRule:
         return value > self.eps
 
     def row(self, A: ChoiceSet) -> Mapping[str, Value]:
-        try:
-            return self.table[A]
-        except KeyError:
-            raise UnknownChoiceSetError(f"{A} is not in the rule's family") from None
+        return {a: self.p(a, A) for a in A.members}
 
     def p(self, a: str, A: ChoiceSet) -> Value:
         """Probability of choosing ``a`` from ``A`` (zero off ``A``)."""
-        row = self.row(A)
-        return row[a] if a in row else self.zero
+        num, den, position = self._row_of(A)
+        return _CELL[self.mode](num[position[a]], den) if a in A else self.zero
 
     def p_set(self, B: Iterable[str], A: ChoiceSet) -> Value:
-        """Probability that the choice from ``A`` lands in ``B``."""
-        row = self.row(A)
+        """Probability that the choice from ``A`` lands in ``B``, summed in ``B``'s order."""
+        num, den, position = self._row_of(A)
         members = B.members if isinstance(B, ChoiceSet) else B
-        return _fold_ascending((row[b] for b in members if b in row), self.zero)
+        mass = _fold_ascending((num[position[b]] for b in members if b in A), den * 0)
+        return _CELL[self.mode](mass, den)
 
     def support(self, A: ChoiceSet) -> ChoiceSet:
-        row = self.row(A)
-        return ChoiceSet(a for a, v in row.items() if self.is_positive(v))
+        num, _, position = self._row_of(A)
+        floor = 0 if self.mode == EXACT else self.eps
+        return ChoiceSet(a for a in A.members if num[position[a]] > floor)
 
     def as_float(self, eps: float | None = None) -> "RandomChoiceRule":
         """Float-mode copy with tolerance ``eps`` (default: the rule's own).
 
-        Exact values are converted to floats. A float rule is copied with the
-        new ``eps``, so the copy's support and checker verdicts can differ
-        from the original's.
+        Exact values are converted to floats (N_A / D_A, correctly rounded, as
+        ``float(Fraction)``). A float rule is copied with the new ``eps``, so
+        the copy's support and checker verdicts can differ from the original's.
         """
         tol = self.eps if eps is None else eps
-        table = {A: {a: float(v) for a, v in row.items()} for A, row in self.table.items()}
+        table = _cells(self.family, operator.truediv, self._dens, self._nums)  # type: ignore[attr-defined]
         return RandomChoiceRule(self.family, table, mode=FLOAT, eps=tol)
 
 

@@ -19,10 +19,12 @@ import math
 import reprlib
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .axioms import Axiom, AxiomReport, Witness
 from .core import (
+    DEFAULT_EPS,
     EXACT,
     FLOAT,
     ChoiceCorrespondence,
@@ -71,7 +73,7 @@ def _shape(raw: Any, kind: type, what: str, *args: Any) -> Any:
 
 
 def _strings(raw: Any, what: str) -> list[str]:
-    if not all(isinstance(a, str) for a in _shape(raw, list, what)):
+    if not all(map(isinstance, _shape(raw, list, what), repeat(str))):
         raise _refuse(raw, "a list of strings", what, ())
     return raw
 
@@ -132,17 +134,42 @@ def _decode_scalar(raw: Any, what: str, *args: Any) -> Value:
                 f"rational literal {reprlib.repr(raw)} has an exponent that would build "
                 f"an integer of more than {sys.get_int_max_str_digits()} digits"
             )
-        num, slash, den = raw.partition("/")
-        try:  # ASCII p or p/q skips Fraction's parser: same value, same errors
-            if num.isdigit() and (den.isdigit() or not slash) and raw.isascii():
-                return Fraction(int(num), int(den or 1))
+        try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational literal {reprlib.repr(raw)}") from exc
-    # _number's test, inline: this runs once per table cell.
+    # _number's test, inline.
     if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= _FLOAT_MAX:
         return float(raw)
     raise _refuse(raw, "a rational string or a finite number", what, args)
+
+
+def _literal(raw: str) -> tuple[int, int]:
+    """A rational string as (numerator, denominator > 0): decimal ``p`` or ``p/q`` with
+    ``int``, any other with ``Fraction``, which reads the same value or refuses it."""
+    num, slash, den = raw.partition("/")
+    limit = sys.get_int_max_str_digits()  # 0 for none
+    if num.isdecimal() and (den.isdecimal() or not slash) and not 0 < limit < len(raw):
+        if int(den or 1):
+            return int(num), int(den or 1)
+    x = _decode_scalar(raw, "rational literal")
+    return x.numerator, x.denominator
+
+
+def _exact_row(cells: dict, A: ChoiceSet, read: dict[str, tuple[int, int]]) -> dict:
+    """An exact rule's cells as {label: (numerator, denominator)}, from rational strings
+    only. ``read`` holds the pairs of the literals read so far: each is parsed once."""
+    try:
+        return dict(zip(cells, map(read.__getitem__, cells.values())))
+    except (KeyError, TypeError):  # a literal not read yet, or a cell that is none
+        pass
+    for a, raw in cells.items():
+        if not isinstance(raw, str):
+            _decode_scalar(raw, "probability of {!r} in {}", a, A)  # refuses what is no number
+            raise DocumentError(f"exact rule has non-rational entry at ({a!r}, {A})")
+        if raw not in read:
+            read[raw] = _literal(raw)
+    return dict(zip(cells, map(read.__getitem__, cells.values())))
 
 
 def _decode_value(raw: Any, what: str) -> Value | ExtendedRatio | None:
@@ -166,16 +193,21 @@ def _decode_set(raw: Any) -> ChoiceSet:
     return _build(ChoiceSet, _strings(raw, "choice set"))
 
 
+def _ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))``, reduced by gcd without building the Fraction."""
+    common = math.gcd(num, den)
+    return str(num // common) if common == den else f"{num // common}/{den // common}"
+
+
 def _rule_payload(rule: RandomChoiceRule) -> dict:
+    position = rule.universe._index  # type: ignore[attr-defined]
+    cell = _ratio if rule.mode == EXACT else (lambda num, den: num)
     payload: dict[str, Any] = {
         "universe": list(rule.universe.alternatives),
         "mode": rule.mode,
         "table": [
-            {
-                "set": list(A.members),
-                "p": {a: _encode_value(x) for a, x in rule.row(A).items()},
-            }
-            for A in rule.family
+            {"set": list(A.members), "p": {a: cell(num[position[a]], den) for a in A.members}}
+            for A, den, num in zip(rule.family.sets, rule._dens, rule._nums)  # type: ignore[attr-defined]
         ],
     }
     if rule.mode == FLOAT:
@@ -184,22 +216,26 @@ def _rule_payload(rule: RandomChoiceRule) -> dict:
 
 
 def _decode_rule(payload: dict) -> RandomChoiceRule:
+    """A rule, exact cells read straight to (numerator, denominator) pairs. Faults
+    come in the order: literal and shape errors, family errors, then the rows'
+    checks in family order."""
     universe = _decode_universe(payload)
     mode = payload.get("mode")
     if mode not in (EXACT, FLOAT):
         raise DocumentError(f"rule mode must be 'exact' or 'float', got {reprlib.repr(mode)}")
-    table: dict[ChoiceSet, dict[str, Value]] = {}
+    table: dict[ChoiceSet, dict[str, Any]] = {}
+    literals: dict[str, tuple[int, int]] = {}
     for A, row in _rows(payload, "table", "rule table"):
-        decoded: dict[str, Value] = {}
-        for a, raw in _shape(row.get("p"), dict, "probabilities of {}", A).items():
-            v = _decode_scalar(raw, "probability of {!r} in {}", a, A)
-            if mode == EXACT and not isinstance(v, Fraction):
-                raise DocumentError(f"exact rule has non-rational entry at ({a!r}, {A})")
-            decoded[a] = v
-        table[A] = decoded
-    kwargs = {"eps": _number(payload["eps"], "rule eps")} if "eps" in payload else {}
+        cells = _shape(row.get("p"), dict, "probabilities of {}", A)
+        if mode == EXACT:
+            table[A] = _exact_row(cells, A, literals)
+        else:
+            table[A] = {a: _decode_scalar(x, "probability of {!r} in {}", a, A) for a, x in cells.items()}
+    eps = _number(payload["eps"], "rule eps") if "eps" in payload else DEFAULT_EPS
     family = _build(ChoiceFamily, universe, table)
-    return _build(RandomChoiceRule, family, table, mode=mode, **kwargs)
+    if mode == EXACT:
+        return _build(RandomChoiceRule._of_pairs, family, table, eps)
+    return _build(RandomChoiceRule, family, table, mode=mode, eps=eps)
 
 
 def _correspondence_payload(corr: ChoiceCorrespondence) -> dict:
@@ -514,9 +550,50 @@ def from_document(doc: Any, *, kind: str | None = None) -> Any:
 
 
 def dumps_document(obj: Any, *, kind: str | None = None) -> str:
-    """Canonical text form: stable key order, two-space indent, one trailing newline."""
+    """Canonical text: ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``
+    and a newline, errors included, written by :func:`_json_text` rather than by
+    json's indenting encoder, which is pure Python."""
     doc = obj if _is_document(obj) else to_document(obj, kind=kind)
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        return _json_text(doc, "\n") + "\n"
+    except (KeyError, TypeError, RecursionError):  # a type, key or depth the walk leaves to json
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii  # json's C string encoder
+
+
+def _json_float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+
+
+# json's text for a scalar of exactly these types.
+_SCALARS = {str: _ESCAPE, int: int.__repr__, float: _json_float,
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(value: Any, indent: str) -> str:
+    """``value`` as json's indenting encoder writes it (sorted keys, two spaces, no
+    NaN), ``indent`` being a newline and the enclosing spaces: dicts, lists and
+    tuples walked here, with string keys; scalars from :data:`_SCALARS`. Any other
+    type or key raises ``KeyError`` or ``TypeError``."""
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return _SCALARS[kind](value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    get = _SCALARS.get  # the scalars, inline
+    if kind is dict:
+        parts = [
+            _ESCAPE(k) + ": " + (w(v) if (w := get(type(v))) else _json_text(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    parts = [w(x) if (w := get(type(x))) else _json_text(x, inner) for x in value]
+    return "[" + inner + ("," + inner).join(parts) + indent + "]"
 
 
 def _is_document(obj: Any) -> bool:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
 from typing import Callable, Iterable, Mapping
 
 from .axioms import _least_rank, _NestedPairs, check_warp
 from .core import (
+    DEFAULT_EPS,
     EXACT,
     FLOAT,
     ChoiceCorrespondence,
@@ -111,19 +111,21 @@ def _shared_rule(
 ) -> RandomChoiceRule:
     """p(a, A) = v(a) / Σ_{chosen(A)} v on chosen(A), zero elsewhere, summed in
     label order (float rows then do not depend on set hashing). Exact weights
-    are scaled to integers w by one lcm: each cell is ``Fraction(w_a, Σ w)``."""
+    are scaled to integers w by one lcm: each cell is the pair (w_a, Σ w)."""
     v = weights.v
-    if weights.mode == EXACT:
-        w = dict(zip(v, _over_lcm(v.values())[1]))
-        share, zero = Fraction, Fraction(0)
-    else:
-        w, share, zero = v, truediv, 0.0
+    exact = weights.mode == EXACT
+    w = dict(zip(v, _over_lcm(v.values())[1])) if exact else v
     table = {}
     for A in family:
         G = chosen(A)
         total = sum(w[b] for b in G)
-        table[A] = {a: share(w[a], total) if a in G else zero for a in A}
-    return RandomChoiceRule(family, table, mode=weights.mode)
+        if exact:
+            table[A] = {a: (w[a], total) for a in G}
+        else:
+            table[A] = {a: w[a] / total if a in G else 0.0 for a in A}
+    if exact:
+        return RandomChoiceRule._of_pairs(family, table, DEFAULT_EPS)
+    return RandomChoiceRule(family, table, mode=FLOAT)
 
 
 def luce_rule(weights: LuceWeights, family: ChoiceFamily) -> RandomChoiceRule:

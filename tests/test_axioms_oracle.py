@@ -484,6 +484,18 @@ def holding_rule(n: int, seed: int, selective: bool):
     return make_rule(rng, ChoiceFamily.of_all_subsets(helpers.universe_of(n)), selective, False)
 
 
+def one_edited_row(n: int, size: int) -> RandomChoiceRule:
+    """``holding_rule(n, size, False)`` with half of one cell of a ``size``-set moved
+    to a set-mate. Not a pair that v is read from: those hold the first label."""
+    rng = random.Random(size)
+    base = holding_rule(n, size, False)
+    S = ChoiceSet(rng.sample(base.universe.alternatives[1:], size))
+    table = {A: dict(base.row(A)) for A in base.family}
+    x, y = S.members[:2]
+    table[S][x], table[S][y] = table[S][x] / 2, table[S][y] + table[S][x] / 2
+    return RandomChoiceRule(base.family, table, mode="exact")
+
+
 def count_walks(monkeypatch) -> list:
     """Record every call of the nested-pair walk ``_NestedPairs.subsets_of``."""
     calls = []
@@ -730,20 +742,29 @@ class TestLocalSplit:
     def test_one_edited_row_visits_only_its_pairs(self, monkeypatch, size):
         # At n = 9 the full walk visits 3^9 − 2^10 + 1 = 18,660 pairs.
         n = 9
-        rng = random.Random(size)
-        base = holding_rule(n, size, False)
-        # Not a pair that v is read from: those hold the universe's first label.
-        S = ChoiceSet(rng.sample(base.universe.alternatives[1:], size))
-        table = {A: dict(base.row(A)) for A in base.family}
-        x, y = S.members[:2]
-        table[S][x], table[S][y] = table[S][x] / 2, table[S][y] + table[S][x] / 2
-        rule = RandomChoiceRule(base.family, table, mode="exact")
+        rule = one_edited_row(n, size)
         visited = visit_pairs(monkeypatch)
         ours = check_all(rule)
         assert 0 < len(visited) <= (1 << size) + (1 << (n - size))
         assert len(set(visited)) == len(visited)  # each pair once
         assert not ours[Axiom.CHOICE_AXIOM].holds
         assert encoded(list(ours.values())) == without_certificate(monkeypatch, rule)
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 6])
+    def test_one_edited_row_walks_only_the_sets_that_hold_a_misfit(self, monkeypatch, size):
+        # A set that holds no misfit has no pair to walk, so the walk skips it:
+        # subsets_of runs once per misfit and once per set that holds one (size
+        # 3: one misfit and its 63 supersets, 64 calls, against 391 when every
+        # set after the first misfit was walked).
+        rule = one_edited_row(9, size)
+        view = axioms._RuleView(rule)
+        misfits = [view.masks[i] for i in sorted({i for i, _ in view.luce_fit()[3]})]
+        holders = [m for m in view.masks if any(f & m == f != m for f in misfits)]
+        calls = count_walks(monkeypatch)
+        check_all(rule)
+        assert 0 < len(calls) <= len(misfits) + len(holders)
+        assert len(set(calls)) == len(calls)  # each set once, in family order
+        assert calls == sorted(calls)
 
     def test_a_cycle_in_one_class_walks_only_its_pairs(self, monkeypatch):
         # Three pair rows of the worst class turn into a cycle (winner 1,

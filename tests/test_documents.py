@@ -4,6 +4,7 @@ import json
 import math
 import random
 import reprlib
+import sys
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from lucekit import (
     ChoiceSet,
     DocumentError,
     ExtendedRatio,
+    LucekitError,
     LuceWeights,
     RandomChoiceRule,
     Universe,
@@ -42,6 +44,7 @@ from lucekit.documents import (
 )
 
 import helpers
+import oracle_documents
 from test_axioms import bad_rule
 
 
@@ -574,3 +577,252 @@ class TestMalformed:
         path.write_bytes(b"\xff\xfe{}")
         with pytest.raises(DocumentError, match="cannot read"):
             read_document(str(path))
+
+
+# The canonical writer against json's own indenting encoder (oracle_documents).
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**20, 10**40)
+    | st.integers(-(10**40), -(10**20))
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, 1, True, 1.0, 0, False])
+    | st.text(max_size=4)
+    | st.text(st.characters(max_codepoint=0x1F), max_size=3)
+)
+_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3) | st.floats(width=16) | st.booleans() | st.none(), inner,
+                      max_size=3),
+    max_leaves=12,
+)
+
+
+def _outcome(write, doc):
+    try:
+        return write(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalWriter:
+    """``dumps_document`` writes json's ``indent=2`` bytes, or raises its error."""
+
+    @staticmethod
+    def _wrapped(tree):
+        return {"kind": "report", "version": "1", "payload": tree}
+
+    @settings(max_examples=400, deadline=None)
+    @given(tree=_TREES)
+    def test_random_trees_match_json(self, tree):
+        doc = self._wrapped(tree)
+        assert _outcome(dumps_document, doc) == _outcome(oracle_documents.canonical_text, doc)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{}, [], -0.0, 5e-324, 1.7976931348623157e308, 10**25, -(10**30), [True, 1, 1.0, False, 0],
+         {"é\x00\x1f\"\\ 😀": ["\x7f", "ü"]}, {"b": {}, "a": [[]], "c": ()}],
+        ids=repr,
+    )
+    def test_edge_values_match_json(self, tree):
+        doc = self._wrapped(tree)
+        assert dumps_document(doc) == oracle_documents.canonical_text(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise_jsons_error(self, bad):
+        for tree in (bad, [1, bad], {"a": {"b": bad}}, {bad: 1}):
+            doc = self._wrapped(tree)
+            want = _outcome(oracle_documents.canonical_text, doc)
+            assert want[0] is ValueError and _outcome(dumps_document, doc) == want
+
+    @pytest.mark.parametrize(
+        "tree", [{1: 2, "a": 3}, {(1,): 2}, {"a": {1, 2}}, [Fraction(1, 2)]], ids=repr
+    )
+    def test_unwritable_values_raise_jsons_error(self, tree):
+        doc = self._wrapped(tree)
+        want = _outcome(oracle_documents.canonical_text, doc)
+        assert want[0] is TypeError and _outcome(dumps_document, doc) == want
+
+    def test_circular_structure_raises_jsons_error(self):
+        loop: list = []
+        loop.append(loop)
+        doc = self._wrapped(loop)
+        assert _outcome(dumps_document, doc) == (ValueError, "Circular reference detected")
+
+    @pytest.mark.parametrize("name", sorted(VALID))
+    def test_every_kind_and_report_matches_json(self, name):
+        doc = VALID[name]
+        assert dumps_document(doc) == oracle_documents.canonical_text(doc)
+        if not name.endswith("report"):  # and the decoded value, written from its payload
+            kind = "utility" if name == "utility" else None
+            value = from_document(doc)
+            want = oracle_documents.canonical_text(to_document(value, kind=kind))
+            assert dumps_document(value, kind=kind) == want
+
+    def test_check_reports_match_json(self):
+        for rule in (helpers.random_synthesized_rule(4, random.Random(5)), bad_rule()):
+            for r in (rule, rule.as_float(), rule.as_float(1e-3)):
+                payload = {"type": "axioms", "mode": r.mode, "eps": r.eps,
+                           "reports": [encode_axiom_report(x) for x in check_all(r).values()]}
+                doc = to_document(payload, kind="report")
+                assert dumps_document(doc) == oracle_documents.canonical_text(doc)
+
+
+# The rule decoder against the cell-by-cell one (oracle_documents).
+
+_FAULTS = ("int-cell", "zero-den", "negative", "short", "duplicate-row", "outside-label",
+           "non-list-set", "huge-exponent", "odd-literal")
+_ACCEPTED = (" 1/2", "0.5", "١/٢", "１/２", "2/4")
+
+
+@st.composite
+def _rule_payloads(draw):
+    """A rule payload on up to 4 labels, exact or float, with cells written in
+    every accepted way and with none, one or several of the refused faults."""
+    n = draw(st.integers(1, 4))
+    labels = helpers.universe_of(n).alternatives
+    sets = [A.members for A in helpers.universe_of(n).subsets()]
+    chosen = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=len(sets), unique=True))
+    exact = draw(st.booleans())
+    rows = []
+    for members in chosen:
+        weights = draw(st.lists(st.integers(0, 5), min_size=len(members), max_size=len(members)))
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        cells = {}
+        for a, w in zip(members, weights):
+            x = Fraction(w, total)
+            if exact or draw(st.integers(0, 5)) == 0:  # float rules take rational strings too
+                scale = draw(st.sampled_from([1, 1, 1, 3]))
+                text = str(x) if scale == 1 else f"{x.numerator * scale}/{x.denominator * scale}"
+                cells[a] = " 1/2" if x == Fraction(1, 2) and draw(st.booleans()) else text
+            else:
+                cells[a] = w / total
+        if draw(st.integers(0, 3)) == 0:  # zero cells may be left out
+            cells = {a: v for a, v in cells.items() if v not in ("0", 0.0)} or cells
+        rows.append({"set": list(members), "p": cells})
+    payload = {"universe": list(labels), "mode": "exact" if exact else "float", "table": rows}
+    if not exact:
+        payload["eps"] = 1e-9
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=3)):
+        row = draw(st.sampled_from(rows))
+        a = draw(st.sampled_from(sorted(row["p"]) or [labels[0]]))
+        if fault == "int-cell":
+            row["p"][a] = draw(st.sampled_from([0, 1]))
+        elif fault == "zero-den":
+            row["p"][a] = "1/0"
+        elif fault == "negative":
+            row["p"][a] = "-1/2"
+        elif fault == "short":
+            row["p"][a] = "1/7"
+        elif fault == "odd-literal":  # refused by Fraction, or read by it alone
+            row["p"][a] = draw(st.sampled_from(["1 /2", "1/ 2", "1/-2", "1/2/3", "/2", "1/", "½",
+                                                "²/3", "0/0", "+1/2", "1_0/20", "٣/٦"]))
+        elif fault == "duplicate-row":
+            rows.insert(draw(st.integers(0, len(rows))), copy.deepcopy(row))
+        elif fault == "outside-label" and isinstance(row["set"], list):
+            row["set"] = row["set"] + ["z"]
+        elif fault == "non-list-set" or fault == "outside-label":
+            row["set"] = draw(st.sampled_from(["ab", 5, None]))
+        else:
+            row["p"][a] = "1e" + str(sys.get_int_max_str_digits() + 1)
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        if isinstance(row["set"], list) and row["set"] and row["p"].get(row["set"][0]) == "1/2":
+            row["p"][row["set"][0]] = draw(st.sampled_from(_ACCEPTED))
+    return payload
+
+
+def _decoded(decode, payload):
+    try:
+        rule = decode(copy.deepcopy(payload))
+    except DocumentError as exc:
+        return "refused", str(exc)
+    return rule.family, dict(rule.table), rule._dens, rule._nums, rule.mode, rule.eps
+
+
+class TestRuleDecoderOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(payload=_rule_payloads())
+    def test_decodes_and_refuses_as_the_cell_by_cell_decoder(self, payload):
+        doc = {"kind": "rule", "version": "1", "payload": payload}
+        ours = _decoded(lambda p: from_document({**doc, "payload": p}), payload)
+        assert ours == _decoded(oracle_documents.decode_rule, payload)
+
+    @pytest.mark.parametrize("literal", _ACCEPTED)
+    def test_accepted_literals_stay_accepted(self, literal):
+        payload = {"universe": ["a", "b"], "mode": "exact",
+                   "table": [{"set": ["a", "b"], "p": {"a": literal, "b": "1/2"}}]}
+        rule = from_document({"kind": "rule", "version": "1", "payload": payload})
+        assert rule.table == {ChoiceSet("ab"): {"a": Fraction(1, 2), "b": Fraction(1, 2)}}
+        assert _decoded(lambda p: rule, payload) == _decoded(oracle_documents.decode_rule, payload)
+
+    def test_rational_strings_in_a_float_rule(self):
+        payload = {"universe": ["a", "b"], "mode": "float", "eps": 1e-9,
+                   "table": [{"set": ["a", "b"], "p": {"a": "1/3", "b": "2/3"}}]}
+        rule = from_document({"kind": "rule", "version": "1", "payload": payload})
+        assert rule.table == {ChoiceSet("ab"): {"a": 1 / 3, "b": 2 / 3}}
+        assert _decoded(lambda p: rule, payload) == _decoded(oracle_documents.decode_rule, payload)
+
+    def test_several_faults_refuse_with_the_first(self):
+        # A literal fault outranks a family fault, which outranks the rows' checks.
+        payload = {"universe": ["a", "b"], "mode": "exact", "table": [
+            {"set": ["a", "b"], "p": {"a": "1/3", "b": "1/3"}},
+            {"set": ["a", "z"], "p": {"a": "1"}},
+            {"set": ["b"], "p": {"b": "1/0"}},
+        ]}
+        for expected in ("bad rational literal '1/0'", "{a,z} contains 'z', not in the universe",
+                         "masses on {a,b} sum to 2/3, not 1"):
+            assert _decoded(oracle_documents.decode_rule, payload) == ("refused", expected)
+            assert _decoded(lambda p: from_document(
+                {"kind": "rule", "version": "1", "payload": p}), payload) == ("refused", expected)
+            if "1/0" in expected:
+                payload["table"][2]["p"]["b"] = "1"
+            else:
+                payload["table"][1]["set"] = ["a"]
+
+
+class TestTableOnDemand:
+    """An exact rule read from a document keeps only its rows: decoding, checking,
+    encoding the report and the rule, decomposing and ``as_float`` never build
+    its table, which is built, as the dict it always was, when first read."""
+
+    def test_the_pipeline_never_builds_the_table(self):
+        rng = random.Random(11)
+        for rule in (helpers.random_synthesized_rule(5, rng), bad_rule()):
+            back = loads_document(dumps_document(rule))
+            assert "table" not in vars(back)
+            reports = check_all(back)
+            dumps_document({"type": "axioms", "reports": [encode_axiom_report(r) for r in reports.values()]},
+                           kind="report")
+            dumps_document(back)
+            try:
+                decompose(back)
+            except LucekitError:
+                pass
+            back.as_float()
+            assert "table" not in vars(back)
+            assert back.table == rule.table and "table" in vars(back)
+
+    def test_table_is_the_dict_it_was(self):
+        rule = helpers.random_synthesized_rule(3, random.Random(12))
+        table = {A: dict(row) for A, row in rule.table.items()}
+        assert type(rule.table) is dict and rule.table == table
+        assert list(rule.table) == list(rule.family.sets)
+        assert repr(rule) == (
+            f"RandomChoiceRule(family={rule.family!r}, table={table!r}, mode='exact', eps=1e-09)"
+        )
+        assert [f.name for f in dataclasses.fields(rule)] == ["family", "table", "mode", "eps"]
+        assert dataclasses.replace(rule, eps=1e-3).table == table
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rule.table = table
+        with pytest.raises(TypeError):
+            hash(rule)
+        assert {A: rule.row(A) for A in rule.family} == table
+        assert copy.deepcopy(rule) == rule
