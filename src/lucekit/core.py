@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from collections.abc import Collection, Iterable, Iterator, Mapping
@@ -33,9 +35,24 @@ DEFAULT_EPS = 1e-9
 MAX_ENUM_UNIVERSE = 16
 
 
+def _finite(x: object) -> float:
+    """``x`` as a float if it is a real number (a bool is not) that is finite as a float,
+    else NaN. Every range test (``y > 0``, ``y >= 0``) is false on NaN, so each caller
+    refuses a non-number, NaN, ±inf or a value beyond the float range with its own message.
+    Every number that comes from outside is tested for finiteness here."""
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            return math.nan
+        try:
+            x = float(x)
+        except OverflowError:  # an int or a rational beyond the float range
+            return math.nan
+    return x if math.isfinite(x) else math.nan
+
+
 def check_eps(eps: float) -> float:
     """Return ``eps`` if it is a usable float tolerance, else raise ``ValueError``."""
-    if not (eps > 0.0 and math.isfinite(eps)):
+    if not _finite(eps) > 0.0:
         raise ValueError("eps must be positive and finite")
     return eps
 
@@ -221,12 +238,15 @@ def _as_exact(row: Mapping[str, object], cs: ChoiceSet) -> dict[str, tuple[int, 
 
 
 def _as_float(row: Mapping[str, object], cs: ChoiceSet) -> list[float]:
-    """A float row's cells, in member order."""
+    """A float row's cells, in member order; a number beyond the float range reads as NaN."""
     cells = list(map(row.get, cs.members, _FLOAT_ZEROS))
     for a, x in zip(cs.members, cells):
         if isinstance(x, (bool, str)):
             raise ValueError(f"float cells must be numbers, got {type(x).__name__} at ({a}, {cs})")
-    return list(map(float, cells))
+    try:
+        return list(map(float, cells))
+    except OverflowError:  # an int or a Fraction beyond the float range
+        return list(map(_finite, cells))
 
 
 def _cells(family: ChoiceFamily, value, dens: list, nums: list) -> dict[ChoiceSet, dict[str, Value]]:
@@ -326,9 +346,9 @@ class RandomChoiceRule:
                 cells = read(row, cs)
                 total = sum(cells)
                 if not math.isfinite(total):  # a non-finite cell, or finite ones too large
-                    for a, v in zip(cs.members, cells):
-                        if not math.isfinite(v):
-                            raise ValueError(f"non-finite probability {v!r} at ({a}, {cs})")
+                    for a in cs.members:
+                        if math.isnan(_finite(x := row.get(a, 0.0))):
+                            raise ValueError(f"non-finite probability {reprlib.repr(x)} at ({a}, {cs})")
                 high = max(cells)
                 if min(cells) < -eps or high > 1.0 + eps:
                     raise ValueError(f"probabilities outside [0, 1] (eps={eps}) on {cs}")

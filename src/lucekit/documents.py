@@ -7,9 +7,11 @@ rationals bit for bit; floats travel as JSON numbers (shortest round-trip
 decimals). Serialization is canonical: sorted keys, two-space indent,
 trailing newline, so identical values produce identical bytes.
 
-Decoding checks the shape of every value it reads (object, list, string,
-number) and hands the rest to the constructors' own validation, so any
-malformed document raises :class:`DocumentError` and nothing else.
+Each kind but the rule, and the fit and limit reports, is one field table
+(:class:`_Table`) naming every payload key once, with its writer and reader.
+Decoding checks the shape of every value it reads, leaves finiteness to
+:func:`lucekit.core._finite` and the rest to the constructors' validation, so
+any malformed document raises :class:`DocumentError` and nothing else.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ import json
 import math
 import reprlib
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from functools import partial
+from importlib import import_module
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from .axioms import Axiom, AxiomReport, Witness
 from .core import (
@@ -35,17 +41,16 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
+    _finite,
+    set_sort_key,
 )
 from .errors import DocumentError
 from .synthesize import LimitReport, LuceWeights
 
 if TYPE_CHECKING:
     from .decompose import LuceDecomposition
-    from .estimate import ChoiceDataset, FitResult
 
 DOCUMENT_VERSION = "1"
-
-_FLOAT_MAX = sys.float_info.max
 
 _JSON_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string",
                int: "an integer", bool: "true or false"}
@@ -72,28 +77,26 @@ def _shape(raw: Any, kind: type, what: str, *args: Any) -> Any:
     raise _refuse(raw, _JSON_NAMES[kind], what, args)
 
 
-def _strings(raw: Any, what: str) -> list[str]:
+def _strings(raw: Any, what: str) -> tuple[str, ...]:
     if not all(map(isinstance, _shape(raw, list, what), repeat(str))):
         raise _refuse(raw, "a list of strings", what, ())
-    return raw
+    return tuple(raw)
 
 
 def _number(raw: Any, what: str, *args: Any) -> float:
-    # abs(raw) <= the largest float refuses NaN, infinities and huge ints.
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= _FLOAT_MAX:
-        return float(raw)
+    if not math.isnan(x := _finite(raw)):
+        return x
     raise _refuse(raw, "a finite number", what, args)
-
-
-def _numbers(payload: dict, key: str, what: str) -> tuple[float, ...]:
-    name = f"{what} {key!r}"
-    return tuple(_number(x, "entry of {}", name) for x in _shape(payload.get(key, []), list, name))
 
 
 def _rows(payload: dict, key: str, what: str) -> Iterator[tuple[ChoiceSet, dict]]:
     """Each object in the list ``payload[key]`` with its decoded ``"set"``; no set twice."""
+    return _set_rows(payload.get(key), what)
+
+
+def _set_rows(raw: Any, what: str) -> Iterator[tuple[ChoiceSet, dict]]:
     seen: set[ChoiceSet] = set()
-    for row in _shape(payload.get(key), list, what):
+    for row in _shape(raw, list, what):
         A = _decode_set(_shape(row, dict, "row of {}", what).get("set"))
         if A in seen:
             raise DocumentError(f"duplicate row for {A}")
@@ -102,16 +105,14 @@ def _rows(payload: dict, key: str, what: str) -> Iterator[tuple[ChoiceSet, dict]
 
 
 def _encode_value(v: Value | ExtendedRatio | None) -> Any:
-    if v is None:
-        return None
+    if isinstance(v, Fraction):
+        return str(v)
     if isinstance(v, ExtendedRatio):
         out: dict[str, Any] = {"ratio": v.kind}
         if v.is_finite:
             out["value"] = _encode_value(v.value)
         return out
-    if isinstance(v, Fraction):
-        return str(v)
-    return float(v)
+    return None if v is None else float(v)
 
 
 def _huge_exponent(text: str) -> bool:
@@ -138,9 +139,8 @@ def _decode_scalar(raw: Any, what: str, *args: Any) -> Value:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational literal {reprlib.repr(raw)}") from exc
-    # _number's test, inline.
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) and abs(raw) <= _FLOAT_MAX:
-        return float(raw)
+    if not math.isnan(x := _finite(raw)):
+        return x
     raise _refuse(raw, "a rational string or a finite number", what, args)
 
 
@@ -186,11 +186,11 @@ def _decode_value(raw: Any, what: str) -> Value | ExtendedRatio | None:
 
 
 def _decode_universe(payload: dict) -> Universe:
-    return _build(Universe, _strings(payload.get("universe"), "universe"))
+    return _UNIVERSE.read(payload.get("universe"), "universe")
 
 
-def _decode_set(raw: Any) -> ChoiceSet:
-    return _build(ChoiceSet, _strings(raw, "choice set"))
+def _decode_set(raw: Any, what: str = "choice set") -> ChoiceSet:
+    return _build(ChoiceSet, _strings(raw, what))
 
 
 def _ratio(num: int, den: int) -> str:
@@ -238,231 +238,212 @@ def _decode_rule(payload: dict) -> RandomChoiceRule:
     return _build(RandomChoiceRule, family, table, mode=mode, eps=eps)
 
 
-def _correspondence_payload(corr: ChoiceCorrespondence) -> dict:
-    return {
-        "universe": list(corr.universe.alternatives),
-        "table": [
-            {"set": list(A.members), "chosen": list(corr.gamma(A).members)}
-            for A in corr.family
-        ],
-    }
+# One payload key and the attribute of the same name: its writer (attribute to JSON value;
+# None to write it as it is), its reader ((JSON value, name) to attribute; None for a key
+# only written), the name refusals give the value, and what a missing key reads as.
+_Field = namedtuple("_Field", "key write read name default", defaults=("", None))
 
 
-def _decode_correspondence(payload: dict) -> ChoiceCorrespondence:
-    universe = _decode_universe(payload)
-    table = {
-        A: _decode_set(row.get("chosen"))
-        for A, row in _rows(payload, "table", "correspondence table")
-    }
-    return _build(ChoiceCorrespondence, _build(ChoiceFamily, universe, table), table)
+class _Table:
+    """A kind's fields, read in this order; ``build`` makes the value from the attributes
+    read, passed by name. ``get(value, key)`` reads a key's attribute (by default
+    ``value.key``); ``const`` holds keys written with one literal value. ``encode`` is one
+    dict display made from the fields, as :mod:`dataclasses` makes ``__init__``: zipping
+    keys with values took twice as long on a report's witnesses."""
+
+    def __init__(self, build: Callable, *fields: _Field, get: Callable | None = None,
+                 const: dict | None = None) -> None:
+        self.build = build
+        self.readers = tuple(f for f in fields if f.read)
+        env, items = {"get": get}, []
+        for i, f in enumerate(fields):
+            env[f"w{i}"] = f.write
+            value = f"obj.{f.key}" if get is None else f"get(obj, {f.key!r})"
+            items.append(f"{f.key!r}: " + (value if f.write is None else f"w{i}({value})"))
+        items += [f"{k!r}: {v!r}" for k, v in (const or {}).items()]
+        exec(f"def encode(obj):\n    return {{{', '.join(items)}}}", env)
+        self.encode = env["encode"]
+
+    def decode(self, raw: Any, what: str = "document payload") -> Any:
+        raw = _shape(raw, dict, what)
+        return self.build(**{f.key: f.read(raw.get(f.key, f.default), f.name) for f in self.readers})
 
 
-def _weights_payload(weights: LuceWeights) -> dict:
-    return {
-        "universe": list(weights.universe.alternatives),
-        "mode": weights.mode,
-        "v": {a: _encode_value(weights.v[a]) for a in weights.universe},
-    }
+def _lazy(name: str) -> Callable:
+    """Builds with the lucekit type ``module.Type``, imported when first used, so that
+    reading a rule imports neither ``estimate`` nor ``decompose``."""
+    module, _, type_name = name.partition(".")
+    return lambda **fields: _build(getattr(import_module(f".{module}", __package__), type_name), **fields)
 
 
-def _decode_weights(payload: dict) -> LuceWeights:
-    universe = _decode_universe(payload)
-    v = _shape(payload.get("v"), dict, "weights 'v'")
-    return _build(
-        LuceWeights, universe, {a: _decode_scalar(x, "weight for {!r}", a) for a, x in v.items()}
-    )
+def _of(kind: type) -> Callable:
+    return lambda raw, name: _shape(raw, kind, name)
 
 
-def _utility_payload(u: Mapping[str, float]) -> dict:
-    return {"u": {a: float(x) for a, x in u.items()}}
+def _each(read: Callable, item: str) -> Callable:
+    """A list read as a tuple, each entry read by ``read`` as ``item``."""
+    return lambda raw, name: tuple(read(x, item) for x in _shape(raw, list, name))
 
 
-def _decode_utility(payload: dict) -> dict[str, float]:
-    u = _shape(payload.get("u"), dict, "utility 'u'")
+def _by_label(read: Callable, entry: str) -> Callable:
+    """An object read as a dict, each value read by ``read`` as ``entry`` formatted with its key."""
+    return lambda raw, name: {a: read(x, entry, a) for a, x in _shape(raw, dict, name).items()}
+
+
+def _or(none: Any, read: Callable) -> Callable:
+    """``read``, with null read as ``none``."""
+    return lambda raw, name: none if raw is None else read(raw, name)
+
+
+def _per_set(read: Callable) -> Callable:
+    """A list of rows, each an object with a ``"set"``, read as {set: read(row, set)}."""
+    return lambda raw, name: {A: read(row, A) for A, row in _set_rows(raw, name)}
+
+
+def _lists(groups: Any) -> list[list[str]]:
+    return [list(group) for group in groups]
+
+
+def _values(v: dict) -> dict:
+    return {a: _encode_value(x) for a, x in v.items()}
+
+
+def _floats(v: Any) -> dict[str, float]:
+    return {a: float(x) for a, x in v.items()}
+
+
+_UNIVERSE = _Field("universe", lambda universe: list(universe.alternatives),
+                   lambda raw, name: _build(Universe, _strings(raw, name)), "universe")
+_AXIOM = _Field("axiom", attrgetter("_value_"), lambda raw, name: _build(Axiom, raw))  # no property call
+
+_WITNESS = _Table(
+    Witness,
+    _AXIOM,
+    _Field("sets", lambda sets: [list(A.members) for A in sets], _each(_decode_set, "choice set"),
+           "witness sets"),
+    _Field("elements", list, _strings, "witness elements", []),
+    _Field("lhs", _encode_value, _decode_value, "witness lhs"),
+    _Field("rhs", _encode_value, _decode_value, "witness rhs"),
+    _Field("detail", None, _of(str), "witness detail", ""),
+)
+_AXIOM_REPORT = _Table(
+    partial(_build, AxiomReport),
+    _AXIOM,
+    _Field("verdict", None, None),
+    _Field("holds", None, _of(bool), "axiom report 'holds'"),
+    _Field("violation_count", None, _of(int), "axiom report 'violation_count'"),
+    _Field("pairs_checked", None, _of(int), "axiom report 'pairs_checked'"),
+    _Field("family_complete", None, _of(bool), "axiom report 'family_complete'"),
+    _Field("witnesses", lambda ws: list(map(_WITNESS.encode, ws)), _each(_WITNESS.decode, "witness"),
+           "axiom report 'witnesses'", []),
+)
+encode_axiom_report = _AXIOM_REPORT.encode
+decode_axiom_report = partial(_AXIOM_REPORT.decode, what="axiom report")
+
+_CORRESPONDENCE = _Table(
+    lambda universe, table: _build(ChoiceCorrespondence, _build(ChoiceFamily, universe, table), table),
+    _UNIVERSE,
+    _Field("table", lambda table: [{"set": list(A.members), "chosen": list(G.members)}
+                                   for A, G in table.items()],
+           _per_set(lambda row, A: _decode_set(row.get("chosen"))), "correspondence table"),
+)
+_WEIGHTS = _Table(
+    partial(_build, LuceWeights),
+    _UNIVERSE,
+    _Field("mode", None, None),
+    _Field("v", _values, _by_label(_decode_scalar, "weight for {!r}"), "weights 'v'"),
+)
+
+
+def _utility(u: dict[str, float]) -> dict[str, float]:
     if not u:
         raise DocumentError("utility payload needs a nonempty 'u' mapping")
-    return {a: _number(x, "utility for {!r}", a) for a, x in u.items()}
+    return u
 
 
-def _dataset_payload(data: ChoiceDataset) -> dict:
-    return {
-        "universe": list(data.universe.alternatives),
-        "observations": [
-            {
-                "set": list(A.members),
-                "counts": {a: data.observations[A][a] for a in A},
-            }
-            for A in sorted(data.observations, key=lambda s: (len(s), s.members))
-        ],
-    }
+_UTILITY = _Table(  # a utility is a plain mapping, written whole under "u"
+    _utility, _Field("u", _floats, _by_label(_number, "utility for {!r}"), "utility 'u'"),
+    get=lambda u, key: u,
+)
+_DATASET = _Table(
+    _lazy("estimate.ChoiceDataset"),
+    _UNIVERSE,
+    _Field("observations", lambda obs: [{"set": list(A.members), "counts": dict(obs[A])}
+                                        for A in sorted(obs, key=set_sort_key)],
+           _per_set(lambda row, A: _shape(row.get("counts"), dict, "counts of {}", A)),
+           "dataset observations"),
+)
 
 
-def _decode_dataset(payload: dict) -> ChoiceDataset:
-    from .estimate import ChoiceDataset
-
-    universe = _decode_universe(payload)
-    obs = {
-        A: _shape(row.get("counts"), dict, "counts of {}", A)
-        for A, row in _rows(payload, "observations", "dataset observations")
-    }
-    return _build(ChoiceDataset, universe, obs)
-
-
-def encode_witness(w: Witness) -> dict:
-    return {
-        "axiom": w.axiom.value,
-        "sets": [list(s.members) for s in w.sets],
-        "elements": list(w.elements),
-        "lhs": _encode_value(w.lhs),
-        "rhs": _encode_value(w.rhs),
-        "detail": w.detail,
-    }
-
-
-def decode_witness(raw: Any) -> Witness:
-    raw = _shape(raw, dict, "witness")
-    return Witness(
-        axiom=_build(Axiom, raw.get("axiom")),
-        sets=tuple(_decode_set(s) for s in _shape(raw.get("sets"), list, "witness sets")),
-        elements=tuple(_strings(raw.get("elements", []), "witness elements")),
-        lhs=_decode_value(raw.get("lhs"), "witness lhs"),
-        rhs=_decode_value(raw.get("rhs"), "witness rhs"),
-        detail=_shape(raw.get("detail", ""), str, "witness detail"),
-    )
-
-
-def encode_axiom_report(report: AxiomReport) -> dict:
-    return {
-        "axiom": report.axiom.value,
-        "verdict": report.verdict,
-        "holds": report.holds,
-        "violation_count": report.violation_count,
-        "pairs_checked": report.pairs_checked,
-        "family_complete": report.family_complete,
-        "witnesses": [encode_witness(w) for w in report.witnesses],
-    }
-
-
-def decode_axiom_report(raw: Any) -> AxiomReport:
-    raw = _shape(raw, dict, "axiom report")
-    kinds = {"holds": bool, "violation_count": int, "pairs_checked": int, "family_complete": bool}
-    fields = {
-        key: _shape(raw.get(key), kind, "axiom report {!r}", key) for key, kind in kinds.items()
-    }
-    witnesses = _shape(raw.get("witnesses", []), list, "axiom report 'witnesses'")
-    return _build(
-        AxiomReport,
-        axiom=_build(Axiom, raw.get("axiom")),
-        witnesses=tuple(decode_witness(w) for w in witnesses),
-        **fields,
-    )
-
-
-def _decomposition_payload(dec: LuceDecomposition) -> dict:
-    return {
-        "universe": list(dec.universe.alternatives),
-        "gamma": _correspondence_payload(dec.gamma),
-        "classes": [list(group) for group in dec.classes],
-        "representatives": list(dec.representatives),
-        "v": {a: _encode_value(dec.v[a]) for a in dec.universe},
-        "alpha": {a: float(dec.alpha[a]) for a in dec.universe},
-        "reconstruction_verified": True,
-    }
-
-
-def _decode_decomposition(payload: dict) -> LuceDecomposition:
+def _decomposition(gamma, classes, representatives, v, alpha) -> LuceDecomposition:
     from .decompose import LuceDecomposition
 
-    gamma = _decode_correspondence(_shape(payload.get("gamma"), dict, "decomposition 'gamma'"))
-    classes = tuple(
-        tuple(_strings(group, "decomposition class"))
-        for group in _shape(payload.get("classes"), list, "decomposition 'classes'")
-    )
-    v = _shape(payload.get("v"), dict, "decomposition 'v'")
-    alpha = _shape(payload.get("alpha"), dict, "decomposition 'alpha'")
     if not set(v) == set(alpha) == set(gamma.universe.alternatives):
         raise DocumentError("decomposition 'v' and 'alpha' must cover the universe")
-    return LuceDecomposition(
-        gamma=gamma,
-        order=_build(WeakOrder.from_classes, gamma.universe, classes),
-        classes=classes,
-        representatives=tuple(_strings(payload.get("representatives", []), "representatives")),
-        v={a: _decode_scalar(x, "weight for {!r}", a) for a, x in v.items()},
-        alpha={a: _number(x, "alpha for {!r}", a) for a, x in alpha.items()},
-    )
+    order = _build(WeakOrder.from_classes, gamma.universe, classes)
+    _build(LuceWeights, gamma.universe, v)  # refuses weights that are not positive and finite
+    if representatives != tuple(group[0] if group else None for group in classes):
+        raise _refuse(list(representatives), "the first member of each class",
+                      "decomposition 'representatives'", ())
+    return LuceDecomposition(gamma=gamma, order=order, classes=classes,
+                             representatives=representatives, v=v, alpha=alpha)
 
 
-def fit_result_payload(result: FitResult) -> dict:
-    ll = result.log_likelihood
-    return {
-        "type": "fit",
-        "gamma_hat": _correspondence_payload(result.gamma_hat),
-        "alpha_hat": (
-            None
-            if result.alpha_hat is None
-            else {a: float(x) for a, x in sorted(result.alpha_hat.items())}
-        ),
-        "log_likelihood": None if math.isnan(ll) else ll,
-        "converged": result.converged,
-        "warp_report": encode_axiom_report(result.warp_report),
-        "separated": list(result.separated),
-        "components": [list(c) for c in result.components],
-        "ll_path": list(result.ll_path),
-        "iterations": result.iterations,
-        "stop_reason": result.stop_reason,
-    }
+_DECOMPOSITION = _Table(
+    _decomposition,
+    _UNIVERSE._replace(read=None),
+    _Field("gamma", _CORRESPONDENCE.encode, _CORRESPONDENCE.decode, "decomposition 'gamma'"),
+    _Field("classes", _lists, _each(_strings, "decomposition class"), "decomposition 'classes'"),
+    _Field("representatives", list, _strings, "representatives"),
+    _Field("v", _values, _by_label(_decode_scalar, "weight for {!r}"), "decomposition 'v'"),
+    _Field("alpha", _floats, _by_label(_number, "alpha for {!r}"), "decomposition 'alpha'"),
+    const={"reconstruction_verified": True},
+)
+_FIT = _Table(
+    _lazy("estimate.FitResult"),
+    _Field("gamma_hat", _CORRESPONDENCE.encode, _CORRESPONDENCE.decode, "fit 'gamma_hat'"),
+    _Field("alpha_hat", lambda alpha: None if alpha is None else _floats(alpha),
+           _or(None, _by_label(_number, "alpha_hat for {!r}")), "fit 'alpha_hat'"),
+    _Field("log_likelihood", lambda ll: None if math.isnan(ll) else ll, _or(math.nan, _number),
+           "fit 'log_likelihood'"),
+    _Field("converged", None, _of(bool), "fit 'converged'"),
+    _Field("warp_report", encode_axiom_report, _AXIOM_REPORT.decode, "axiom report"),
+    _Field("separated", list, _strings, "fit 'separated'", []),
+    _Field("components", _lists, _each(_strings, "fit component"), "fit 'components'", []),
+    _Field("ll_path", list, _each(_number, "entry of fit 'll_path'"), "fit 'll_path'", []),
+    _Field("iterations", None, _of(int), "fit 'iterations'", 0),
+    _Field("stop_reason", None, _or(None, _of(str)), "fit 'stop_reason'"),
+)
 
 
-def _decode_fit_result(payload: dict) -> FitResult:
-    from .estimate import FitResult
-
-    alpha = payload.get("alpha_hat")
-    ll = payload.get("log_likelihood")
-    stop = payload.get("stop_reason")
-    components = _shape(payload.get("components", []), list, "fit 'components'")
-    return FitResult(
-        gamma_hat=_decode_correspondence(_shape(payload.get("gamma_hat"), dict, "fit 'gamma_hat'")),
-        alpha_hat=None if alpha is None else {
-            a: _number(x, "alpha_hat for {!r}", a)
-            for a, x in _shape(alpha, dict, "fit 'alpha_hat'").items()
-        },
-        log_likelihood=math.nan if ll is None else _number(ll, "fit 'log_likelihood'"),
-        converged=_shape(payload.get("converged"), bool, "fit 'converged'"),
-        warp_report=decode_axiom_report(payload.get("warp_report")),
-        separated=tuple(_strings(payload.get("separated", []), "fit 'separated'")),
-        components=tuple(tuple(_strings(c, "fit component")) for c in components),
-        ll_path=_numbers(payload, "ll_path", "fit"),
-        iterations=_shape(payload.get("iterations", 0), int, "fit 'iterations'"),
-        stop_reason=None if stop is None else _shape(stop, str, "fit 'stop_reason'"),
-    )
-
-
-def limit_report_payload(report: LimitReport) -> dict:
-    return {
-        "type": "limit",
-        "lambdas": list(report.lambdas),
-        "distances": list(report.distances),
-        "tolerance": report.tolerance,
-        "tail_monotone": report.tail_monotone,
-        "final_distance": report.final_distance,
-        "converged": report.converged,
-    }
-
-
-def _decode_limit_report(payload: dict) -> LimitReport:
-    lambdas = _numbers(payload, "lambdas", "limit report")
-    distances = _numbers(payload, "distances", "limit report")
+def _limit_report(lambdas: tuple, distances: tuple, tolerance: float) -> LimitReport:
     if not distances or len(distances) != len(lambdas):
         raise DocumentError("limit report needs one distance per noise level")
-    tolerance = _number(payload.get("tolerance"), "limit report 'tolerance'")
     return LimitReport(lambdas=lambdas, distances=distances, tolerance=tolerance)
 
 
+_LIMIT = _Table(
+    _limit_report,
+    _Field("lambdas", list, _each(_number, "entry of limit report 'lambdas'"),
+           "limit report 'lambdas'", []),
+    _Field("distances", list, _each(_number, "entry of limit report 'distances'"),
+           "limit report 'distances'", []),
+    _Field("tolerance", None, _number, "limit report 'tolerance'"),
+    _Field("tail_monotone", None, None),
+    _Field("final_distance", None, None),
+    _Field("converged", None, None),
+)
+
+# report type -> (the type that infers it, the key it is decoded under, its table).
+# Axioms and error reports are dicts, written as they are.
+_REPORTS = {"fit": ("estimate.FitResult", "result", _FIT),
+            "limit": ("synthesize.LimitReport", "report", _LIMIT)}
+
+
 def _report_payload(obj: Any) -> dict:
-    if _is_a(obj, ("estimate.FitResult",)):
-        return fit_result_payload(obj)
-    if isinstance(obj, LimitReport):
-        return limit_report_payload(obj)
+    for kind, (name, _, table) in _REPORTS.items():
+        if _is_a(obj, (name,)):
+            return {"type": kind, **table.encode(obj)}
     if not isinstance(obj, dict) or "type" not in obj:
         raise DocumentError("report payloads must be dicts with a 'type' field")
     return obj
@@ -473,13 +454,12 @@ def _decode_report(payload: dict) -> dict:
     if kind == "axioms":
         reports = _shape(payload.get("reports", []), list, "axioms report 'reports'")
         return {**payload, "reports": [decode_axiom_report(r) for r in reports]}
-    if kind == "fit":
-        return {"type": "fit", "result": _decode_fit_result(payload)}
-    if kind == "limit":
-        return {"type": "limit", "report": _decode_limit_report(payload)}
     if kind == "error":
         return dict(payload)
-    raise DocumentError(f"unknown report type {reprlib.repr(kind)}")
+    if kind not in tuple(_REPORTS):  # a tuple test, so an unhashable type is refused too
+        raise DocumentError(f"unknown report type {reprlib.repr(kind)}")
+    _, key, table = _REPORTS[kind]
+    return {"type": kind, key: table.decode(payload)}
 
 
 def _is_a(obj: Any, names: tuple[str, ...]) -> bool:
@@ -493,19 +473,14 @@ def _is_a(obj: Any, names: tuple[str, ...]) -> bool:
 # utility is a plain mapping, so it is encoded only when named explicitly.
 _CODECS = {
     "rule": (("core.RandomChoiceRule",), _rule_payload, _decode_rule),
-    "correspondence": (
-        ("core.ChoiceCorrespondence",), _correspondence_payload, _decode_correspondence
-    ),
-    "weights": (("synthesize.LuceWeights",), _weights_payload, _decode_weights),
-    "utility": ((), _utility_payload, _decode_utility),
-    "dataset": (("estimate.ChoiceDataset",), _dataset_payload, _decode_dataset),
-    "report": (("estimate.FitResult", "synthesize.LimitReport"), _report_payload, _decode_report),
-    "decomposition": (
-        ("decompose.LuceDecomposition",), _decomposition_payload, _decode_decomposition
-    ),
+    "correspondence": (("core.ChoiceCorrespondence",), _CORRESPONDENCE.encode, _CORRESPONDENCE.decode),
+    "weights": (("synthesize.LuceWeights",), _WEIGHTS.encode, _WEIGHTS.decode),
+    "utility": ((), _UTILITY.encode, _UTILITY.decode),
+    "dataset": (("estimate.ChoiceDataset",), _DATASET.encode, _DATASET.decode),
+    "report": (tuple(name for name, _, _ in _REPORTS.values()), _report_payload, _decode_report),
+    "decomposition": (("decompose.LuceDecomposition",), _DECOMPOSITION.encode, _DECOMPOSITION.decode),
 }
 KINDS = tuple(_CODECS)
-
 
 def _codec(kind: Any) -> tuple:
     if kind not in KINDS:  # a tuple test, so an unhashable kind is refused too

@@ -13,7 +13,6 @@ smallest member of each component at zero.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from .axioms import AxiomReport, check_warp
-from .core import ChoiceCorrespondence, ChoiceFamily, ChoiceSet, Universe
+from .core import ChoiceCorrespondence, ChoiceFamily, ChoiceSet, Universe, _finite
 from .errors import CountsOffSupportError, NotRationalError
 
 # numpy loads inside the fit only: a dataset or a fit result needs none.
@@ -252,9 +251,7 @@ def fit_alpha_mle(
         raise NotRationalError(
             "estimated support violates contraction consistency", report=warp_report
         )
-    if isinstance(pseudo_count, bool) or not isinstance(pseudo_count, numbers.Real) or not (
-        0 <= pseudo_count < math.inf
-    ):
+    if not _finite(pseudo_count) >= 0:
         raise ValueError(f"pseudo-count must be a finite nonnegative number, got {pseudo_count!r}")
     total = sum(sum(row.values()) for row in data.observations.values())
     # The log-likelihood rises from −Σ_A n_A·ln|Γ(A)| ≥ −total·ln(max |Γ(A)|).

@@ -15,6 +15,7 @@ probabilities are ratios of exponentials.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -31,6 +32,7 @@ from .core import (
     Universe,
     Value,
     WeakOrder,
+    _finite,
     _over_lcm,
     maximizers,
 )
@@ -59,9 +61,11 @@ class LuceWeights:
         for a in universe:
             if isinstance(v[a], (bool, str)):
                 raise ValueError(f"weight for {a!r} must be a number, got {v[a]!r}")
-            w = Fraction(v[a]) if exact else float(v[a])
-            if not (w > 0 and (exact or math.isfinite(w))):
-                raise ValueError(f"weight for {a!r} must be positive and finite, got {v[a]!r}")
+            w = Fraction(v[a]) if exact else _finite(v[a])
+            if not w > 0:
+                raise ValueError(
+                    f"weight for {a!r} must be positive and finite, got {reprlib.repr(v[a])}"
+                )
             vals[a] = w
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "v", vals)
@@ -99,10 +103,10 @@ def _log(w: Value) -> float:
 def _validate_utility(universe: Universe, u: Mapping[str, float]) -> dict[str, float]:
     if set(u) != set(universe.alternatives):
         raise ValueError("utility must cover exactly the universe")
-    out = {a: float(u[a]) for a in universe}
+    out = {a: _finite(u[a]) for a in universe}
     for a, x in out.items():
-        if not math.isfinite(x):
-            raise ValueError(f"utility for {a!r} must be finite, got {x!r}")
+        if math.isnan(x):
+            raise ValueError(f"utility for {a!r} must be finite, got {reprlib.repr(u[a])}")
     return out
 
 
@@ -174,6 +178,12 @@ def general_luce_rule_from_utility(
     return _shared_rule(weights, family, lambda A: maximizers(order, A))
 
 
+def _check_lambda(lam: float) -> float:
+    if not (x := _finite(lam)) > 0.0:
+        raise ValueError(f"noise level λ must be positive and finite, got {reprlib.repr(lam)}")
+    return x
+
+
 def lambda_smoothed_rule(
     u: Mapping[str, float],
     weights: LuceWeights,
@@ -188,9 +198,7 @@ def lambda_smoothed_rule(
     """
     if family.universe != weights.universe:
         raise ValueError("weights and family must share a universe")
-    if not (float(lam) > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"noise level λ must be positive and finite, got {lam!r}")
-    lam = float(lam)
+    lam = _check_lambda(lam)
     util = _validate_utility(family.universe, u)
     scores = {a: util[a] / lam + weights.alpha[a] for a in family.universe}
     if not all(map(math.isfinite, scores.values())):
@@ -241,13 +249,11 @@ def limit_check(
     finite and nonnegative. The target is the correspondence-form rule at
     gamma = argmax of ``u``.
     """
-    if not (tolerance >= 0 and math.isfinite(tolerance)):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
-    lams = tuple(float(x) for x in schedule)
+    if not _finite(tolerance) >= 0:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {reprlib.repr(tolerance)}")
+    lams = tuple(map(_check_lambda, schedule))
     if not lams:
         raise ValueError("schedule must be nonempty")
-    if any(not x > 0 for x in lams):
-        raise ValueError("schedule values must be positive")
     if any(x <= y for x, y in zip(lams, lams[1:])):
         raise ValueError("schedule must be strictly decreasing")
     target = general_luce_rule_from_utility(u, weights, family).as_float()

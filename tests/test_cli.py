@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import functools
 import io
 import json
 import math
@@ -29,15 +31,16 @@ from lucekit import (
     from_document,
     general_luce_rule,
     loads_document,
+    luce_rule,
     write_document,
 )
-from lucekit import errors
+from lucekit import cli, errors
 from lucekit.cli import _error_slug, main
 
 import helpers
 from test_axioms import bad_rule
 from test_decompose import denormal_pair_rule
-from test_documents import VALID, broken_document
+from test_documents import _JSON, VALID, _edit, _nodes, broken_document
 from test_estimate import OVERSIZED_COUNTS
 
 EQUIVALENTS_CSV = (
@@ -880,3 +883,93 @@ class TestFloatEdgeProperty:
             assert code in (0, 1, 2), (command, code, err)
             if code == 2 or err:
                 assert err.startswith("lucekit: ") and err.count("\n") == 1, (command, err)
+
+
+@pytest.fixture(scope="class")
+def hostile_inputs(tmp_path_factory):
+    """Valid documents of every kind the CLI reads, and a path for each edited copy."""
+    root = tmp_path_factory.mktemp("hostile")
+    u = Universe("ab")
+    w = LuceWeights.from_v(u, {"a": Fraction(1), "b": Fraction(1, 2)})
+    gamma = correspondence_from_order(WeakOrder.from_classes(u, [["a"], ["b"]]),
+                                      ChoiceFamily.of_all_subsets(u))
+    values = {
+        "rule": (general_luce_rule(gamma, w), None),
+        "float-rule": (luce_rule(w, ChoiceFamily.of_all_subsets(u)).as_float(), None),
+        "correspondence": (gamma, None),
+        "weights": (w, None),
+        "float-weights": (LuceWeights.from_alpha(u, {"a": 0.0, "b": -1.5}), None),
+        "utility": ({"a": 1.0, "b": 0.0}, "utility"),
+        "dataset": (ChoiceDataset(u, {ChoiceSet("ab"): {"a": 3, "b": 1},
+                                      ChoiceSet("a"): {"a": 2}}), None),
+    }
+    docs = {name: json.loads(dumps_document(obj, kind=kind)) for name, (obj, kind) in values.items()}
+    paths = {"edited": str(root / "edited.json")}
+    for name in ("weights", "utility"):
+        paths[name] = str(root / f"{name}.json")
+        obj, kind = values[name]
+        write_document(paths[name], obj, kind=kind)
+    # One parser for every call: building it is most of an in-process call on
+    # documents this small, and parsing leaves it as it was.
+    build = cli._build_parser
+    cli._build_parser = functools.cache(build)
+    yield docs, paths
+    cli._build_parser = build
+
+
+def _readers(kind, path, paths):
+    """Every command that reads a document of ``kind``, given at ``path``."""
+    weights, utility = paths["weights"], paths["utility"]
+    if kind in ("rule", "float-rule"):
+        return [["check", path], ["decompose", path]]
+    if kind == "correspondence":
+        return [["synthesize", "--weights", weights, "--gamma", path]]
+    if kind in ("weights", "float-weights"):
+        return [["synthesize", "--weights", path], ["simulate", "--weights", path, "--draws", "3"],
+                ["limit", "--utility", utility, "--weights", path, "--schedule", "1,0.5"]]
+    if kind == "utility":
+        return [["synthesize", "--weights", weights, "--utility", path]] + [
+            ["simulate", f"--sampler={s}", "--weights", weights, "--utility", path, "--draws", "3"]
+            for s in ("independent", "lex")
+        ] + [["limit", "--utility", path, "--weights", weights, "--schedule", "1,0.5"]]
+    return [["fit", path]]
+
+
+_HOSTILE_KEYS = st.sampled_from(["", "é", "1e400", "nan", "set", "p", "v", "u"]) | st.text(max_size=3)
+_HOSTILE_VALUES = st.sampled_from([
+    "1e400", "-1e400", "1e-400", "nan", "inf", "1/0", "-1/2", "", "é", "1" * 5000, 10**400, -(10**400),
+    1e308, -1.0, 0, 0.0, True, None, [], {}, ["a"], "1/2", 0.5,
+]) | _JSON
+
+
+class TestHostileDocuments:
+    # One leaf or key of a valid document replaced by a hostile value (huge or
+    # non-finite numbers, bad rational strings, wrong JSON types), read by
+    # every command that reads its kind: exit 0, 1 or 2, and exit 2 with an
+    # empty stdout and one "lucekit:" line.
+    @pytest.mark.parametrize("kind", ["rule", "float-rule", "correspondence", "weights",
+                                      "float-weights", "utility", "dataset"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_reader_exits_cleanly(self, hostile_inputs, kind, data):
+        docs, paths = hostile_inputs
+        doc = copy.deepcopy(docs[kind])
+        if data.draw(st.booleans(), label="replace a key"):
+            path, key = data.draw(st.sampled_from(
+                [(p, k) for p, node in _nodes(doc) if isinstance(node, dict) for k in node]))
+            parent = _edit(doc, (), doc)
+            for step in path:
+                parent = parent[step]
+            parent[data.draw(_HOSTILE_KEYS)] = parent.pop(key)
+        else:
+            leaves = [p for p, node in _nodes(doc) if p and not isinstance(node, (dict, list))]
+            _edit(doc, data.draw(st.sampled_from(leaves)), data.draw(_HOSTILE_VALUES))
+        Path(paths["edited"]).write_text(json.dumps(doc))
+        for argv in _readers(kind, paths["edited"], paths):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2), (argv, code, err)
+            if code == 2:
+                assert out == "" and err.startswith("lucekit: ") and err.count("\n") == 1, (argv, err)

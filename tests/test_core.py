@@ -7,19 +7,26 @@ from hypothesis import strategies as st
 
 from lucekit import (
     ChoiceCorrespondence,
+    ChoiceDataset,
     ChoiceFamily,
     ChoiceSet,
     EXACT,
     ExtendedRatio,
     FamilySizeError,
     FLOAT,
+    LuceWeights,
     RandomChoiceRule,
     SubsetViolationError,
     Universe,
     UnknownChoiceSetError,
     WeakOrder,
+    check_all,
     check_warp,
     correspondence_from_order,
+    fit,
+    general_luce_rule_from_utility,
+    lambda_smoothed_rule,
+    limit_check,
     maximizers,
     odds,
     pairwise_odds,
@@ -520,3 +527,39 @@ class TestChoiceCorrespondence:
             with pytest.raises(ValueError) as exc:
                 ChoiceCorrespondence(family, table)
             assert str(exc.value) == message
+
+
+def _float_rule(cell) -> RandomChoiceRule:
+    family = ChoiceFamily(Universe("ab"), [ChoiceSet("ab")])
+    return RandomChoiceRule(family, {ChoiceSet("ab"): {"a": cell, "b": 0.0}}, mode=FLOAT)
+
+
+def _beyond_the_float_range() -> dict:
+    """Each way a number reaches a float in a constructor or check, given 10**400."""
+    huge, u, util = 10**400, Universe("ab"), {"a": 1.0, "b": 0.0}
+    family, w = ChoiceFamily.of_all_subsets(u), LuceWeights.uniform(u)
+    data = ChoiceDataset(u, {ChoiceSet("ab"): {"a": 3, "b": 1}})
+    return {
+        "float-cell-fraction": lambda: _float_rule(Fraction(huge)),
+        "float-cell-int": lambda: _float_rule(huge),
+        "float-weight-fraction": lambda: LuceWeights(u, {"a": Fraction(huge), "b": 1.0}),
+        "float-weight-int": lambda: LuceWeights(u, {"a": huge, "b": 1.5}),
+        "utility": lambda: general_luce_rule_from_utility({"a": huge, "b": 0.0}, w, family),
+        "lambda": lambda: lambda_smoothed_rule(util, w, huge, family),
+        "schedule": lambda: limit_check(util, w, [huge, 1.0], family),
+        "tolerance": lambda: limit_check(util, w, [1.0], family, tolerance=huge),
+        "check-all-eps": lambda: check_all(_float_rule(1.0), eps=huge),
+        "as-float-eps": lambda: _float_rule(1.0).as_float(huge),
+        "pseudo-count": lambda: fit(data, pseudo_count=huge),
+    }
+
+
+BEYOND_THE_FLOAT_RANGE = _beyond_the_float_range()
+
+
+class TestBeyondTheFloatRange:
+    @pytest.mark.parametrize("case", sorted(BEYOND_THE_FLOAT_RANGE))
+    def test_refused_as_value_error_not_overflow(self, case):
+        # An OverflowError is no ValueError, so it fails this test.
+        with pytest.raises(ValueError):
+            BEYOND_THE_FLOAT_RANGE[case]()

@@ -37,7 +37,9 @@ from lucekit import (
     to_document,
     write_document,
 )
+from lucekit import documents
 from lucekit.documents import (
+    KINDS,
     _decode_scalar,
     decode_axiom_report,
     encode_axiom_report,
@@ -461,6 +463,8 @@ ESCAPES = {
     "rule-huge-exponent": ("rule", ("table", 0, "p", "a"), "1e100000000"),
     "weights-huge-exponent": ("weights", ("v", "b"), "1E-1_000_000_000"),
     "decomposition-huge-exponent": ("decomposition", ("v", "a"), "2.5e+99999999"),
+    "float-rule-beyond-float-range": ("float-rule", ("table", 0, "p", "a"), "1e400"),
+    "float-weights-beyond-float-range": ("float-weights", ("v", "a"), "-1e400"),
 }
 
 
@@ -504,7 +508,8 @@ _LEAVES = (
     | st.booleans()
     | st.integers()
     | st.floats()
-    | st.sampled_from([10**400, -(10**400), "1/2", "1/0", "a"])
+    | st.sampled_from([10**400, -(10**400), "1/2", "1/0", "a", "1e400", "-1e400", "nan",
+                       "1" * (sys.get_int_max_str_digits() + 1), "", "é"])
     | st.text(max_size=3)
 )
 _JSON = st.recursive(
@@ -559,6 +564,28 @@ class TestMalformed:
         doc = copy.deepcopy(VALID["weights"])
         doc["payload"]["v"]["b"] = literal
         assert from_document(doc).v["b"] == value
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("representatives", ["zz"],
+         "decomposition 'representatives' must be the first member of each class, got ['zz']"),
+        ("v", {"a": "-1", "b": "0", "c": "5"},
+         "weight for 'a' must be positive and finite, got Fraction(-1, 1)"),
+        ("classes", [[], ["c"], ["a", "b"]],
+         "decomposition 'representatives' must be the first member of each class, got ['c', 'a']"),
+    ], ids=["representatives", "v", "empty-class"])
+    def test_decomposition_must_agree_with_itself(self, key, value, message):
+        # Each used to decode, and to re-encode unchanged.
+        doc = copy.deepcopy(VALID["decomposition"])
+        doc["payload"][key] = value
+        with pytest.raises(DocumentError) as exc:
+            from_document(doc)
+        assert str(exc.value) == message
+
+    def test_valid_documents_cover_every_kind_and_report_type(self):
+        # The malformed-document properties here and in test_cli reach only what VALID holds.
+        assert {doc["kind"] for doc in VALID.values()} == set(KINDS)
+        types = {doc["payload"]["type"] for doc in VALID.values() if doc["kind"] == "report"}
+        assert types == {"axioms", "error", *documents._REPORTS}
 
     def test_decomposition_weights_must_cover_the_universe(self):
         # Decoded without 'a', the decomposition used to fail only on re-encoding.
