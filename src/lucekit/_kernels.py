@@ -2,8 +2,13 @@
 
 ``rank_rows`` turns a matrix of draw scores into per-draw rank vectors (the
 samplers' ``draw_ranks``); ``top_counts`` tallies which column holds each
-row's smallest key (the race in ``empirical_rule``). Ties break toward the
-earlier column in both: stable sort in ranking, first index in tallying.
+row's smallest key. Ties break toward the earlier column in both: stable
+sort in ranking, first index in tallying.
+
+No library code calls ``top_counts`` since ``empirical_rule`` draws each
+set's tally as one multinomial. It stays only as a name the benchmark
+harness's traced runs wrap (``perfbench/spans.py``), until the benchmark
+drops it and this module can go (ROADMAP item 3).
 """
 
 from __future__ import annotations

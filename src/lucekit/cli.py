@@ -17,6 +17,7 @@ command imports what it runs when it runs (``check`` runs neither
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, NoReturn
 
@@ -227,6 +228,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"lucekit: {message} (see '{self.prog} -h')\n")
 
 
+@functools.cache  # once per process: building it was most of an in-process call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lucekit",

@@ -7,7 +7,7 @@ rationals bit for bit; floats travel as JSON numbers (shortest round-trip
 decimals). Serialization is canonical: sorted keys, two-space indent,
 trailing newline, so identical values produce identical bytes.
 
-Each kind but the rule, and the fit and limit reports, is one field table
+Each kind but the rule, and each report type, is one field table
 (:class:`_Table`) naming every payload key once, with its writer and reader.
 Decoding checks the shape of every value it reads, leaves finiteness to
 :func:`lucekit.core._finite` and the rest to the constructors' validation, so
@@ -87,6 +87,12 @@ def _number(raw: Any, what: str, *args: Any) -> float:
     if not math.isnan(x := _finite(raw)):
         return x
     raise _refuse(raw, "a finite number", what, args)
+
+
+def _mode(raw: Any, what: str) -> str:
+    if raw == EXACT or raw == FLOAT:
+        return raw
+    raise _refuse(raw, "'exact' or 'float'", what, ())
 
 
 def _rows(payload: dict, key: str, what: str) -> Iterator[tuple[ChoiceSet, dict]]:
@@ -220,9 +226,7 @@ def _decode_rule(payload: dict) -> RandomChoiceRule:
     come in the order: literal and shape errors, family errors, then the rows'
     checks in family order."""
     universe = _decode_universe(payload)
-    mode = payload.get("mode")
-    if mode not in (EXACT, FLOAT):
-        raise DocumentError(f"rule mode must be 'exact' or 'float', got {reprlib.repr(mode)}")
+    mode = _mode(payload.get("mode"), "rule mode")
     table: dict[ChoiceSet, dict[str, Any]] = {}
     literals: dict[str, tuple[int, int]] = {}
     for A, row in _rows(payload, "table", "rule table"):
@@ -434,10 +438,41 @@ _LIMIT = _Table(
     _Field("converged", None, None),
 )
 
+
+def _axioms_report(mode: str, eps: float, all_hold: bool, reports: tuple) -> dict:
+    if all_hold != all(r.holds for r in reports):
+        raise DocumentError("axioms report 'all_hold' must be whether every report holds, "
+                            f"got {all_hold}")
+    return {"mode": mode, "eps": eps, "all_hold": all_hold, "reports": list(reports)}
+
+
+def _eps(raw: Any, name: str) -> float:
+    if (x := _finite(raw)) > 0.0:  # NaN for anything not a finite number
+        return x
+    raise _refuse(raw, "a positive finite number", name, ())
+
+
+# Axioms and error reports are dicts, written as they are and read to dicts of their
+# fields: a check's reports, an error and the axiom report it carries.
+_AXIOMS = _Table(
+    _axioms_report,
+    _Field("mode", None, _mode, "axioms report 'mode'"),
+    _Field("eps", None, _eps, "axioms report 'eps'"),
+    _Field("all_hold", None, _of(bool), "axioms report 'all_hold'"),
+    _Field("reports", None, _each(_AXIOM_REPORT.decode, "axiom report"), "axioms report 'reports'",
+           []),
+)
+_ERROR = _Table(
+    dict,
+    _Field("error", None, _of(str), "error report 'error'"),
+    _Field("message", None, _of(str), "error report 'message'"),
+    _Field("report", None, _or(None, _AXIOM_REPORT.decode), "axiom report"),
+)
+
 # report type -> (the type that infers it, the key it is decoded under, its table).
-# Axioms and error reports are dicts, written as they are.
 _REPORTS = {"fit": ("estimate.FitResult", "result", _FIT),
             "limit": ("synthesize.LimitReport", "report", _LIMIT)}
+_DICT_REPORTS = {"axioms": _AXIOMS, "error": _ERROR}
 
 
 def _report_payload(obj: Any) -> dict:
@@ -451,12 +486,9 @@ def _report_payload(obj: Any) -> dict:
 
 def _decode_report(payload: dict) -> dict:
     kind = payload.get("type")
-    if kind == "axioms":
-        reports = _shape(payload.get("reports", []), list, "axioms report 'reports'")
-        return {**payload, "reports": [decode_axiom_report(r) for r in reports]}
-    if kind == "error":
-        return dict(payload)
-    if kind not in tuple(_REPORTS):  # a tuple test, so an unhashable type is refused too
+    if kind in tuple(_DICT_REPORTS):  # a tuple test, so an unhashable type is refused too
+        return {"type": kind, **_DICT_REPORTS[kind].decode(payload)}
+    if kind not in tuple(_REPORTS):
         raise DocumentError(f"unknown report type {reprlib.repr(kind)}")
     _, key, table = _REPORTS[kind]
     return {"type": kind, key: table.decode(payload)}

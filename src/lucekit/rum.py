@@ -10,8 +10,10 @@ another sampler's draws.
 
 In all three the top choice from a set A is the logit choice, shares
 proportional to e^α, among the members of A the sampler lets win: its
-``contenders``. :func:`empirical_rule` therefore draws top choices only,
-never whole rankings, and yields a float-mode rule.
+``contenders``. A set's tally over n draws is therefore one multinomial
+draw, Multinomial(n, p) with p_x = e^α_x / Σ e^α over the contenders, and
+:func:`empirical_rule` draws it directly, never a ranking or a single top
+choice, and yields a float-mode rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._kernels import rank_rows, top_counts
+from ._kernels import rank_rows
 from .core import (
     DEFAULT_EPS,
     FLOAT,
@@ -128,7 +130,7 @@ class LexSampler:
         self.first = first
         self.base = base
         self.universe = base.universe
-        # Top choices race on the base sampler's weights and substreams.
+        # Tallies draw on the base sampler's weights and substreams.
         self.seed = base.seed
         self._alpha = base._alpha
         self._first_ranks = np.array(
@@ -178,36 +180,30 @@ def lex_compose(first: WeakOrder, second: WeakOrder) -> WeakOrder:
     )
 
 
-# Cap on α_max − α_x in the race: e^700 times any standard exponential draw
-# stays finite, so no key is inf and no 0·inf NaN can win an argmin. A member
-# that far behind wins with probability of order e^-700 or less either way.
-_MAX_EXPONENT = 700.0
-
-# numpy fills successive blocks of a race in the order it fills one matrix,
-# so tallies do not depend on the block size.
-_BLOCK_ROWS = 1 << 16
+# numpy's multinomial holds the draw count in a C long.
+_MAX_DRAWS = 2**63 - 1
 
 
 def empirical_rule(sampler, family: ChoiceFamily, n_draws: int) -> EmpiricalRule:
     """Tally each set's top choice over ``n_draws`` independent draws.
 
-    Only top choices are drawn. A set with a single contender
-    (``sampler.contenders(A)``) gets all ``n_draws`` and no random numbers.
-    Otherwise each draw takes E_x i.i.d. standard exponential per contender
-    and credits argmin E_x·e^(α_max − α_x), the first contender winning
-    ties. With G = −log E this is Gumbel-max over α + G, so x wins with
-    probability e^α_x / Σ e^α (McFadden's logit representation) and the
-    law of the top choice is the samplers' own. Each family set draws from
-    its own substream (indexed by family position), so tallies are
-    independent across sets and reproducible for a fixed sampler seed; they
-    are not the top choices of ``draw_ranks`` under that seed. Draws are
-    made in blocks of ``_BLOCK_ROWS`` rows, so memory does not grow with
-    ``n_draws``.
+    A set with a single contender (``sampler.contenders(A)``) gets all
+    ``n_draws`` and no random numbers. Otherwise its tally is one draw of
+    Multinomial(n_draws, p) over the contenders, p_x = e^α_x / Σ e^α (the
+    logit shares, McFadden 1974), which is the law of the samplers' own top
+    choices; a contender more than about 745 behind the leader has p_x = 0.
+    Each family set draws from its own substream (indexed by family
+    position), so tallies are independent across sets and reproducible for
+    a fixed sampler seed; they are not the top choices of ``draw_ranks``
+    under that seed. Time and memory grow with the sets' sizes, not with
+    ``n_draws``, which may be at most 2**63 − 1.
     """
     if family.universe != sampler.universe:
         raise ValueError("sampler and family must share a universe")
     if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
         raise ValueError(f"n_draws must be a positive int, got {n_draws!r}")
+    if n_draws > _MAX_DRAWS:
+        raise ValueError(f"n_draws must be at most 2**63 - 1, got {n_draws!r}")
     n_draws = int(n_draws)
     index = family.universe.index
     counts: dict[ChoiceSet, dict[str, int]] = {}
@@ -218,13 +214,8 @@ def empirical_rule(sampler, family: ChoiceFamily, n_draws: int) -> EmpiricalRule
             row[names[0]] = n_draws
         else:
             alpha = sampler._alpha[[index(a) for a in names]]
-            scale = np.exp(np.minimum(alpha.max() - alpha, _MAX_EXPONENT))
+            w = np.exp(alpha - alpha.max())
             rng = _substream(sampler.seed, family.position(A))
-            wins = np.zeros(len(names), dtype=np.int64)
-            for start in range(0, n_draws, _BLOCK_ROWS):
-                keys = rng.standard_exponential((min(_BLOCK_ROWS, n_draws - start), len(names)))
-                keys *= scale
-                wins += top_counts(keys)
-            row.update(zip(names, wins.tolist()))
+            row.update(zip(names, rng.multinomial(n_draws, w / w.sum()).tolist()))
         counts[A] = row
     return EmpiricalRule(family=family, counts=counts, n_draws=n_draws)

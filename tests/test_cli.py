@@ -383,6 +383,14 @@ class TestSimulateAndFit:
         )
         assert code == 2
 
+    def test_draw_count_past_numpy_is_refused(self, work, capsys):
+        # 2**63 draws: numpy's multinomial cannot hold the count.
+        code, out, err = run(
+            ["simulate", "--weights", work["weights"], "--draws", "9223372036854775808"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "lucekit: n_draws must be at most 2**63 - 1, got 9223372036854775808\n"
+
     def test_fit_blocked_by_warp_exits_one(self, work, capsys):
         cyc = work["dir"] / "cyclic.json"
         doc = {
@@ -732,6 +740,24 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_one_parser_serves_every_call(self, work, capsys):
+        # Built once per process; a usage error between two commands leaves
+        # it as it was, so each call prints what a fresh process prints.
+        assert cli._build_parser() is cli._build_parser()
+        calls = [
+            ["check", str(work["bad_rule"]), "--axioms", "warp"],
+            ["simulate", "--draws", "x", "--weights", str(work["weights"])],
+            ["simulate", "--weights", str(work["weights"]), "--draws", "40", "--seed", "3"],
+            ["check", str(work["bad_rule"])],
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        for argv in calls:
+            in_process = run(argv, capsys)
+            fresh = subprocess.run([sys.executable, "-m", "lucekit.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert in_process == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert [run(argv, capsys)[0] for argv in calls] == [0, 2, 0, 1]
 
     def test_entry_point_subprocess(self, work):
         out = subprocess.run(

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lucekit import (
+    AxiomReport,
     ChoiceDataset,
     ChoiceFamily,
     ChoiceSet,
@@ -580,6 +581,42 @@ class TestMalformed:
         with pytest.raises(DocumentError) as exc:
             from_document(doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"type": "error", "error": 5, "message": None, "report": [1, 2]},
+         "error report 'error' must be a string, got 5"),
+        ({"type": "error", "error": "choice-axiom", "message": None},
+         "error report 'message' must be a string, got None"),
+        ({"type": "error", "error": "choice-axiom", "message": "m", "report": [1, 2]},
+         "axiom report must be a JSON object, got [1, 2]"),
+        ({"type": "axioms", "mode": 7, "eps": "x", "all_hold": "maybe", "reports": []},
+         "axioms report 'mode' must be 'exact' or 'float', got 7"),
+        ({"type": "axioms", "mode": "float", "eps": "x", "all_hold": "maybe", "reports": []},
+         "axioms report 'eps' must be a positive finite number, got 'x'"),
+        ({"type": "axioms", "mode": "float", "eps": 0, "all_hold": True, "reports": []},
+         "axioms report 'eps' must be a positive finite number, got 0"),
+        ({"type": "axioms", "mode": "float", "eps": 1e-9, "all_hold": "maybe", "reports": []},
+         "axioms report 'all_hold' must be true or false, got 'maybe'"),
+        ({"type": "axioms", "mode": "float", "eps": 1e-9, "all_hold": False, "reports": []},
+         "axioms report 'all_hold' must be whether every report holds, got False"),
+    ], ids=["error-type", "message", "embedded-report", "mode", "eps", "zero-eps", "all-hold",
+            "all-hold-contradicted"])
+    def test_check_and_error_reports_are_read_field_by_field(self, payload, message):
+        # Each used to load as it was.
+        with pytest.raises(DocumentError) as exc:
+            from_document({"kind": "report", "version": "1", "payload": payload})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["axioms-report", "error-report"])
+    def test_check_and_error_reports_decode_to_their_axiom_reports(self, name):
+        doc = VALID[name]
+        value = from_document(doc)
+        reports = value["reports"] if name == "axioms-report" else [value["report"]]
+        assert reports and all(isinstance(r, AxiomReport) for r in reports)
+        key = "reports" if name == "axioms-report" else "report"
+        encoded = [encode_axiom_report(r) for r in reports]
+        written = {**value, key: encoded if key == "reports" else encoded[0]}
+        assert dumps_document(written, kind="report") == dumps_document(doc)
 
     def test_valid_documents_cover_every_kind_and_report_type(self):
         # The malformed-document properties here and in test_cli reach only what VALID holds.

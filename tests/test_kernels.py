@@ -1,3 +1,7 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,3 +88,20 @@ class TestBenchmarkHarnessNames:
     def test_samplers_define_draw_ranks(self):
         for cls in (GumbelLuceSampler, IndependentRumSampler, LexSampler):
             assert "draw_ranks" in cls.__dict__, cls.__name__
+
+    def test_every_traced_name_resolves(self):
+        # A traced benchmark run wraps each (module, attribute or Class.method)
+        # of the harness's TARGETS; a renamed one would break it.
+        source = (Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text()
+        targets = next(
+            ast.literal_eval(node.value) for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+        )
+        assert targets
+        for module_name, attr, _, _ in targets:
+            module = importlib.import_module("lucekit." + module_name)
+            if "." in attr:
+                cls_name, meth = attr.split(".")
+                assert callable(vars(getattr(module, cls_name)).get(meth)), (module_name, attr)
+            else:
+                assert callable(getattr(module, attr, None)), (module_name, attr)

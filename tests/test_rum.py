@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lucekit._kernels
 from lucekit import (
     ChoiceFamily,
     ChoiceSet,
@@ -193,19 +194,53 @@ class TestEmpiricalRule:
         rule = emp.as_rule(eps=mc_eps)
         assert check_choice_axiom(rule).holds
 
-    def test_counts_spanning_several_blocks_match_one_matrix(self):
-        # Three blocks, the last one partial: the tallies must be those of
-        # one (draws × contenders) race drawn from each set's substream.
+    def test_each_tally_is_one_multinomial_from_the_sets_substream(self):
+        # Every set draws Multinomial(n, logit shares) once, from the stream
+        # default_rng([seed, family position]).
         w = _abc_weights()
-        fam = ChoiceFamily.of_pairs(w.universe)
-        n = 2 * rum._BLOCK_ROWS + 3
+        fam = ChoiceFamily.of_all_subsets(w.universe)
+        n = 100_003
         emp = empirical_rule(GumbelLuceSampler(w, seed=9), fam, n)
         for A in fam:
-            alpha = np.array([w.alpha[a] for a in A])
-            keys = np.random.default_rng([9, fam.position(A)]).standard_exponential((n, len(A)))
-            keys *= np.exp(alpha.max() - alpha)
-            want = np.bincount(np.argmin(keys, axis=1), minlength=len(A))
+            if len(A) == 1:
+                assert emp.counts[A] == {A.members[0]: n}
+                continue
+            v = np.exp(np.array([w.alpha[a] for a in A]))
+            want = np.random.default_rng([9, fam.position(A)]).multinomial(n, v / v.sum())
             assert list(emp.counts[A].values()) == want.tolist()
+
+    def test_work_does_not_grow_with_draws(self, monkeypatch):
+        # 10**15 draws per set: neither a race nor one random number per draw.
+        class NoExponentials(np.random.Generator):
+            def standard_exponential(self, *args, **kwargs):
+                raise AssertionError("a draw-by-draw race")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw-by-draw race")
+
+        monkeypatch.setattr(rum, "top_counts", refuse, raising=False)
+        monkeypatch.setattr(lucekit._kernels, "top_counts", refuse)
+        monkeypatch.setattr(
+            rum, "_substream",
+            lambda seed, stream: NoExponentials(np.random.PCG64([int(seed), int(stream)])),
+        )
+        u = Universe("abcd")
+        w = LuceWeights.from_alpha(u, {"a": 0.0, "b": 1.0, "c": -2.0, "d": 0.5})
+        fam = ChoiceFamily.of_all_subsets(u)
+        n = 10**15
+        for sampler in _samplers(w, {"a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}, 3).values():
+            emp = empirical_rule(sampler, fam, n)
+            assert all(sum(emp.counts[A].values()) == n for A in fam)
+
+    def test_draw_count_numpy_cannot_hold_is_refused(self):
+        w = _abc_weights()
+        fam = ChoiceFamily.of_all_subsets(w.universe)
+        emp = empirical_rule(GumbelLuceSampler(w, seed=0), fam, 2**63 - 1)
+        assert sum(emp.counts[ChoiceSet("abc")].values()) == 2**63 - 1
+        for bad in (2**63, np.uint64(2**63), 10**30):
+            with pytest.raises(ValueError) as err:
+                empirical_rule(GumbelLuceSampler(w, seed=0), fam, bad)
+            assert str(err.value) == f"n_draws must be at most 2**63 - 1, got {bad!r}"
 
     def test_memory_does_not_grow_with_draws(self):
         w = _abc_weights()
@@ -300,6 +335,30 @@ class TestTopChoiceTally:
         with np.errstate(over="raise", invalid="raise"):
             emp = empirical_rule(GumbelLuceSampler(weights, seed=0), family, 50_000)
         assert emp.counts[ChoiceSet("ab")] == {"a": 0, "b": 50_000}
+
+    @settings(max_examples=30, deadline=None)
+    @given(_sampler_cases())
+    def test_shares_follow_the_logit_law_over_the_contenders(self, case):
+        weights, u, seed = case
+        family = ChoiceFamily.of_all_subsets(weights.universe)
+        n_draws = 20_000
+        for name, sampler in _samplers(weights, u, seed).items():
+            emp = empirical_rule(sampler, family, n_draws)
+            again = empirical_rule(_samplers(weights, u, seed)[name], family, n_draws)
+            assert emp.counts == again.counts
+            for A in family:
+                names = sampler.contenders(A)
+                alpha = [weights.alpha[a] for a in names]
+                top = max(alpha)
+                total = math.fsum(math.exp(x - top) for x in alpha)
+                for a in A:
+                    share = emp.counts[A][a] / n_draws
+                    if a not in names:
+                        assert share == 0, (name, A, a)
+                        continue
+                    p = math.exp(weights.alpha[a] - top) / total
+                    bound = 6 * math.sqrt(p * (1 - p) / n_draws) + 1 / n_draws
+                    assert abs(share - p) <= bound, (name, A, a, share, p)
 
     @pytest.mark.parametrize("bad", [0, -3, True, 10.0, "10"])
     def test_n_draws_must_be_a_positive_int(self, bad):
